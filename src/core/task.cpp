@@ -1,5 +1,7 @@
 #include "core/task.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace flotilla::core {
@@ -74,16 +76,17 @@ void Task::advance(TaskState next, sim::Time now) {
              to_string(next));
   const TaskState from = state_;
   state_ = next;
-  state_times_.emplace(next, now);  // keep the *first* entry time
+  sim::Time& entered = state_times_[static_cast<std::size_t>(next)];
+  if (std::isnan(entered)) entered = now;  // keep the *first* entry time
   if (transition_hook_ && *transition_hook_) {
     (*transition_hook_)(*this, from, next);
   }
 }
 
 bool Task::state_time(TaskState state, sim::Time& out) const {
-  const auto it = state_times_.find(state);
-  if (it == state_times_.end()) return false;
-  out = it->second;
+  const sim::Time entered = state_times_[static_cast<std::size_t>(state)];
+  if (std::isnan(entered)) return false;
+  out = entered;
   return true;
 }
 

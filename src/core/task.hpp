@@ -4,8 +4,10 @@
 // uniform profiling and failure handling across execution substrates.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <functional>
-#include <map>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -54,6 +56,8 @@ enum class TaskState {
   kFailed,           // final: exhausted retries or unrecoverable
   kCanceled,         // final: canceled by the user or shutdown
 };
+inline constexpr std::size_t kTaskStateCount =
+    static_cast<std::size_t>(TaskState::kCanceled) + 1;
 
 std::string_view to_string(TaskState state);
 bool is_final(TaskState state);
@@ -106,11 +110,18 @@ class Task {
   void request_cancel() { cancel_requested_ = true; }
 
  private:
+  static constexpr std::array<sim::Time, kTaskStateCount> never_entered() {
+    std::array<sim::Time, kTaskStateCount> times{};
+    times.fill(std::numeric_limits<sim::Time>::quiet_NaN());
+    return times;
+  }
+
   std::string uid_;
   TaskDescription description_;
   std::shared_ptr<const TransitionHook> transition_hook_;
   TaskState state_ = TaskState::kNew;
-  std::map<TaskState, sim::Time> state_times_;
+  // First entry time per state, indexed by TaskState; NaN = never entered.
+  std::array<sim::Time, kTaskStateCount> state_times_ = never_entered();
   std::string backend_;
   std::string error_;
   int attempts_ = 0;

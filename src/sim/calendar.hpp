@@ -1,11 +1,17 @@
 // EventCalendar: one shard's slice of the simulation's event set.
 //
-// A calendar owns a (time, seq) min-heap plus the live-callback map that
-// implements tombstone cancellation. The sequence numbers that break ties
-// at equal times are assigned by the owner (sim::Engine): globally in
-// single-shard mode (bit-identical to the historical engine) and per shard
-// in sharded mode, so every calendar's pop order is deterministic without
-// any cross-shard coordination.
+// A calendar owns a (time, seq) min-heap and a slot vector that holds the
+// pending callbacks. A heap entry names its event's slot; each slot records
+// the seq of the event it currently holds (0 when free), and popped or
+// cancelled slots go back on a free list for the next push. Stale-slot
+// rule: a heap entry whose slot holds a different seq is a tombstone and is
+// skipped. Because seqs are never reused, a cancelled event's id cannot
+// match the event that later reuses its slot, so a stale cancel is a no-op.
+//
+// The sequence numbers that break ties at equal times are assigned by the
+// owner (sim::Engine): globally in single-shard mode (bit-identical to the
+// historical engine) and per shard in sharded mode, so every calendar's pop
+// order is deterministic without any cross-shard coordination.
 //
 // Threading contract: a calendar has exactly one owner at any instant —
 // the engine's coordinator between drain rounds, or the one worker
@@ -17,7 +23,6 @@
 #include <functional>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 namespace flotilla::sim {
@@ -30,26 +35,38 @@ using Callback = std::function<void()>;
 
 class EventCalendar {
  public:
+  using Slot = std::uint32_t;
+
   struct Popped {
     Time time = 0.0;
     std::uint64_t seq = 0;
     Callback callback;
   };
 
-  // Inserts an event; `seq` must be unique within this calendar and
-  // strictly increasing between pushes at equal times (the owner's
-  // counter guarantees both).
-  void push(Time time, std::uint64_t seq, Callback callback) {
-    heap_.push(Entry{time, seq});
-    callbacks_.emplace(seq, std::move(callback));
+  // Inserts an event and returns the slot holding it; `seq` must be
+  // nonzero, unique within this calendar and strictly increasing between
+  // pushes at equal times (the owner's counter guarantees all three).
+  Slot push(Time time, std::uint64_t seq, Callback callback) {
+    Slot slot = static_cast<Slot>(slots_.size());
+    if (free_.empty()) {
+      slots_.push_back(Pending{seq, std::move(callback)});
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      slots_[slot] = Pending{seq, std::move(callback)};
+    }
+    heap_.push(Entry{time, seq, slot});
+    ++live_;
+    return slot;
   }
 
-  // Tombstones a pending event; returns false if `seq` is unknown or
-  // already fired.
-  bool cancel(std::uint64_t seq) {
-    const auto it = callbacks_.find(seq);
-    if (it == callbacks_.end()) return false;
-    callbacks_.erase(it);
+  // Tombstones a pending event; returns false if (`seq`, `slot`) is
+  // unknown, already fired or already cancelled.
+  bool cancel(std::uint64_t seq, Slot slot) {
+    if (seq == 0 || slot >= slots_.size() || slots_[slot].seq != seq) {
+      return false;  // seq 0 marks a free slot, never a pending event
+    }
+    release(slot);
     return true;
   }
 
@@ -67,21 +84,26 @@ class EventCalendar {
     if (heap_.empty()) return false;
     const Entry entry = heap_.top();
     heap_.pop();
-    const auto it = callbacks_.find(entry.seq);
     out->time = entry.time;
     out->seq = entry.seq;
-    out->callback = std::move(it->second);
-    callbacks_.erase(it);
+    out->callback = std::move(slots_[entry.slot].callback);
+    release(entry.slot);
     return true;
   }
 
-  bool empty() const { return callbacks_.empty(); }
-  std::size_t live() const { return callbacks_.size(); }
+  bool empty() const { return live_ == 0; }
+  std::size_t live() const { return live_; }
 
  private:
+  struct Pending {
+    std::uint64_t seq;  // 0 while the slot is free
+    Callback callback;
+  };
+
   struct Entry {
     Time time;
     std::uint64_t seq;
+    Slot slot;
     // Min-heap by (time, seq).
     friend bool operator>(const Entry& a, const Entry& b) {
       if (a.time != b.time) return a.time > b.time;
@@ -89,15 +111,26 @@ class EventCalendar {
     }
   };
 
+  // The callback dies last, once the calendar is consistent again, so a
+  // capture whose destructor schedules or cancels events is safe.
+  void release(Slot slot) {
+    const Callback dead = std::move(slots_[slot].callback);
+    slots_[slot].seq = 0;
+    free_.push_back(slot);
+    --live_;
+  }
+
   void pop_cancelled() {
     while (!heap_.empty() &&
-           callbacks_.find(heap_.top().seq) == callbacks_.end()) {
+           slots_[heap_.top().slot].seq != heap_.top().seq) {
       heap_.pop();
     }
   }
 
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unordered_map<std::uint64_t, Callback> callbacks_;
+  std::vector<Pending> slots_;
+  std::vector<Slot> free_;
+  std::size_t live_ = 0;
 };
 
 }  // namespace flotilla::sim

@@ -74,8 +74,8 @@ Engine::EventId Engine::at(ShardId shard, Time t, Callback cb) {
   if (t < floor) t = floor;
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
   const std::uint64_t seq = sh.next_seq++;
-  sh.calendar.push(t, seq, std::move(cb));
-  return EventId{seq, shard};
+  const EventCalendar::Slot slot = sh.calendar.push(t, seq, std::move(cb));
+  return EventId{seq, shard, slot};
 }
 
 Engine::EventId Engine::enqueue_send(ShardId to, Time t, Callback cb) {
@@ -91,16 +91,12 @@ Engine::EventId Engine::enqueue_send(ShardId to, Time t, Callback cb) {
   return EventId{id, to};
 }
 
-void Engine::invoke_on(ShardId shard, Callback cb) {
+bool Engine::runs_inline(ShardId shard) const {
+  // Same shard, single-shard engine, or no event context to hop off: the
+  // historical direct-call path, bit-identical to the unsharded engine.
+  if (config_.shards == 1) return true;
   const ExecContext* ctx = context();
-  if (config_.shards == 1 || ctx == nullptr || ctx->shard == shard) {
-    // Same shard, single-shard engine, or no event context to hop off:
-    // the historical direct-call path, bit-identical to the unsharded
-    // engine.
-    cb();
-    return;
-  }
-  enqueue_send(shard, ctx->now, std::move(cb));
+  return ctx == nullptr || ctx->shard == shard;
 }
 
 bool Engine::cancel(EventId id) {
@@ -113,11 +109,11 @@ bool Engine::cancel(EventId id) {
     }
     const auto it = sh.delivered_sends.find(id.seq);
     if (it == sh.delivered_sends.end()) return false;
-    const std::uint64_t seq = it->second;
+    const Delivered where = it->second;
     sh.delivered_sends.erase(it);
-    return sh.calendar.cancel(seq);
+    return sh.calendar.cancel(where.seq, where.slot);
   }
-  return sh.calendar.cancel(id.seq);
+  return sh.calendar.cancel(id.seq, id.slot);
 }
 
 void Engine::deliver_sends() {
@@ -138,13 +134,13 @@ void Engine::deliver_sends() {
         if (!live) continue;  // cancelled in flight
         const Time t = std::max(send.time, watermark_);
         const std::uint64_t seq = dsh.next_seq++;
-        dsh.delivered_sends.emplace(send.id, seq);
-        dsh.calendar.push(
+        const EventCalendar::Slot slot = dsh.calendar.push(
             t, seq,
             [this, dst, id = send.id, cb = std::move(send.callback)] {
               shards_[dst].delivered_sends.erase(id);
               cb();
             });
+        dsh.delivered_sends.emplace(send.id, Delivered{seq, slot});
       }
       box.clear();
     }

@@ -46,6 +46,7 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/calendar.hpp"
@@ -74,11 +75,14 @@ class Engine {
     Time lookahead = 0.0;
   };
 
+  // `slot` is the calendar slot holding the event (unused for cross-shard
+  // sends, whose seq carries kSendBit).
   struct EventId {
     std::uint64_t seq = 0;
     ShardId shard = 0;
+    EventCalendar::Slot slot = 0;
     friend bool operator==(EventId a, EventId b) {
-      return a.seq == b.seq && a.shard == b.shard;
+      return a.seq == b.seq && a.shard == b.shard && a.slot == b.slot;
     }
   };
 
@@ -128,8 +132,16 @@ class Engine {
   // single-shard — the historical direct-call path, bit-identical to the
   // unsharded engine); otherwise posts it to `shard` at the current time
   // via the mailbox. The agent uses this to hop backend completion
-  // events back onto the control shard.
-  void invoke_on(ShardId shard, Callback cb);
+  // events back onto the control shard. `cb` is only type-erased into a
+  // Callback when it actually hops, so the direct call never allocates.
+  template <typename F>
+  void invoke_on(ShardId shard, F&& cb) {
+    if (runs_inline(shard)) {
+      cb();
+      return;
+    }
+    enqueue_send(shard, now(), Callback(std::forward<F>(cb)));
+  }
 
   // Cancels a pending event; cancelling an already-fired or unknown event
   // is a harmless no-op and returns false. Cross-shard cancellation is
@@ -180,13 +192,19 @@ class Engine {
 
  private:
   // Cross-shard send ids live in a distinct keyspace from calendar
-  // sequence numbers so EventId stays a plain pair.
+  // sequence numbers so EventId stays a plain value.
   static constexpr std::uint64_t kSendBit = 1ull << 63;
 
   struct PendingSend {
     Time time;
     std::uint64_t id;  // kSendBit-tagged registry key
     Callback callback;
+  };
+
+  // Delivered-send cancellation target: where a send landed.
+  struct Delivered {
+    std::uint64_t seq;
+    EventCalendar::Slot slot;
   };
 
   // Cache-line aligned so adjacent shards' hot counters never false-share
@@ -202,8 +220,8 @@ class Engine {
     // Outboxes, destination-indexed: sends buffered during a round, in
     // the deterministic order this shard issued them.
     std::vector<std::vector<PendingSend>> outbox;
-    // Delivered-send cancellation index: send id -> calendar seq.
-    std::unordered_map<std::uint64_t, std::uint64_t> delivered_sends;
+    // Delivered-send cancellation index: send id -> calendar event.
+    std::unordered_map<std::uint64_t, Delivered> delivered_sends;
   };
 
   struct ExecContext {  // thread-local active-event frame
@@ -216,6 +234,7 @@ class Engine {
 
   void execute(Shard& shard, ShardId shard_id, EventCalendar::Popped* event);
   EventId enqueue_send(ShardId to, Time t, Callback cb);
+  bool runs_inline(ShardId shard) const;  // invoke_on's direct-call test
   void deliver_sends();
   bool advance_one(Time until, bool honor_stop);  // sequential sharded stepper
   std::uint64_t run_single(Time until);

@@ -4,12 +4,16 @@
 // throughput result in the paper: slurmctld's step-creation RPC handler,
 // a Flux instance's rank-0 broker loop, Dragon's central dispatcher. Work
 // items carry their own service time; the center runs `parallelism` of them
-// concurrently and the rest wait FIFO.
+// concurrently and the rest wait FIFO. Items in service live in a slot
+// vector owned by the server, so a completion event captures only
+// (this, slot) and fits std::function's inline buffer: a steady-state
+// round trip schedules its event without allocating.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <vector>
 
 #include "sim/engine.hpp"
 
@@ -40,8 +44,9 @@ class Server {
     Done done;
   };
 
+  void start(Time service_time, Done done);
   void start_next();
-  void finish(Time service_time, Done done);
+  void finish(std::uint32_t slot);
 
   Engine& engine_;
   int parallelism_;
@@ -49,6 +54,8 @@ class Server {
   std::uint64_t completed_ = 0;
   Time busy_accum_ = 0.0;
   std::deque<Item> queue_;
+  std::vector<Done> in_service_;  // indexed by slot
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace flotilla::sim

@@ -47,6 +47,33 @@ TEST(TaskStateMachine, RetryEdgeLoopsToAgentScheduling) {
   EXPECT_DOUBLE_EQ(t, 4.0);
 }
 
+TEST(TaskStateMachine, EntryAtTimeZeroIsRecorded) {
+  // 0.0 is a real entry time, distinct from "never entered".
+  Task task("task.0", {});
+  sim::Time t = -1.0;
+  EXPECT_FALSE(task.state_time(TaskState::kNew, t));  // initial, not entered
+  EXPECT_FALSE(task.state_time(TaskState::kTmgrScheduling, t));
+  task.advance(TaskState::kTmgrScheduling, 0.0);
+  ASSERT_TRUE(task.state_time(TaskState::kTmgrScheduling, t));
+  EXPECT_EQ(t, 0.0);
+  EXPECT_FALSE(task.state_time(TaskState::kAgentScheduling, t));
+}
+
+TEST(TaskStateMachine, RetryReentryKeepsFirstEntryTime) {
+  Task task("task.0", {});
+  task.advance(TaskState::kTmgrScheduling, 0.0);
+  task.advance(TaskState::kAgentScheduling, 0.0);
+  task.advance(TaskState::kExecutorPending, 1.0);
+  task.advance(TaskState::kAgentScheduling, 2.0);  // retry edge
+  task.advance(TaskState::kExecutorPending, 3.0);
+  sim::Time t = -1.0;
+  ASSERT_TRUE(task.state_time(TaskState::kAgentScheduling, t));
+  EXPECT_EQ(t, 0.0);
+  ASSERT_TRUE(task.state_time(TaskState::kExecutorPending, t));
+  EXPECT_EQ(t, 1.0);
+  EXPECT_FALSE(task.state_time(TaskState::kRunning, t));
+}
+
 TEST(TaskStateMachine, IllegalTransitionsThrow) {
   Task task("task.0", {});
   EXPECT_THROW(task.advance(TaskState::kRunning, 1.0), util::Error);

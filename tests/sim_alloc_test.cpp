@@ -1,0 +1,119 @@
+// Allocation regression for the serial event path. This binary replaces the
+// global operator new with a counting one, which is why it is its own test
+// executable: no other test runs under the counter.
+//
+// On a single-shard engine, once the calendar and server slot vectors have
+// grown to their working size, a Server round trip whose `done` fits
+// std::function's inline buffer, and an invoke_on that does not hop, must
+// not touch the heap at all.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "sim/engine.hpp"
+#include "sim/server.hpp"
+
+namespace {
+
+bool g_counting = false;
+std::uint64_t g_allocations = 0;
+
+void* counted_alloc(std::size_t size) {
+  if (g_counting) ++g_allocations;
+  if (size == 0) size = 1;
+  for (;;) {
+    if (void* p = std::malloc(size)) return p;
+    std::new_handler handler = std::get_new_handler();
+    if (handler == nullptr) throw std::bad_alloc();
+    handler();
+  }
+}
+
+// Allocations made by `fn`, which must not itself run gtest assertions.
+template <typename F>
+std::uint64_t allocations_during(F&& fn) {
+  const std::uint64_t before = g_allocations;
+  g_counting = true;
+  fn();
+  g_counting = false;
+  return g_allocations - before;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace flotilla::sim {
+namespace {
+
+// A `done` that resubmits itself until its budget runs out: two pointers,
+// trivially copyable, so std::function stores it inline.
+struct Resubmit {
+  Server* server;
+  int* remaining;
+  void operator()() const {
+    if (--*remaining > 0) server->submit(0.5, *this);
+  }
+};
+static_assert(sizeof(Resubmit) <= 16);
+
+TEST(SimAlloc, ServerRoundTripAllocatesNothingInSteadyState) {
+  Engine engine;
+  Server server(engine, 2);
+  // Warm-up: grows the calendar heap, the calendar and server slot
+  // vectors and their free lists to their working size.
+  int remaining = 1000;
+  server.submit(1.0, Resubmit{&server, &remaining});
+  server.submit(1.5, Resubmit{&server, &remaining});
+  engine.run();
+  ASSERT_TRUE(server.idle());
+
+  remaining = 10000;
+  const std::uint64_t events_before = engine.processed();
+  const std::uint64_t allocations = allocations_during([&] {
+    server.submit(1.0, Resubmit{&server, &remaining});
+    server.submit(1.5, Resubmit{&server, &remaining});
+    engine.run();
+  });
+  const std::uint64_t events = engine.processed() - events_before;
+  EXPECT_GE(events, 10000u);
+  EXPECT_EQ(allocations, 0u) << "over " << events << " events";
+  EXPECT_TRUE(server.idle());
+}
+
+TEST(SimAlloc, InvokeOnWithoutHopAllocatesNothing) {
+  Engine engine;
+  // Larger than std::function's inline buffer: wrapping this callable in
+  // a Callback would allocate.
+  std::array<std::uint64_t, 8> payload{};
+  payload[7] = 7;
+  std::uint64_t seen = 0;
+  const auto call = [payload, &seen] { seen += payload[7]; };
+  static_assert(sizeof(call) > 16);
+
+  // Outside any event context.
+  EXPECT_EQ(allocations_during([&] { engine.invoke_on(kControlShard, call); }),
+            0u);
+  EXPECT_EQ(seen, 7u);
+
+  // From inside an event on the same (only) shard.
+  std::uint64_t inside = ~0ull;
+  engine.at(1.0, [&] {
+    inside = allocations_during(
+        [&] { engine.invoke_on(kControlShard, call); });
+  });
+  engine.run();
+  EXPECT_EQ(inside, 0u);
+  EXPECT_EQ(seen, 14u);
+}
+
+}  // namespace
+}  // namespace flotilla::sim

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -186,6 +190,67 @@ TEST(Engine, PostEventHookFiresAfterEveryProcessedEvent) {
   engine.run();
   EXPECT_EQ(events, 3);
   EXPECT_EQ(hook_times.size(), 2u);
+}
+
+TEST(Engine, StaleIdCannotCancelEventThatReusedItsSlot) {
+  Engine engine;
+  bool old_fired = false;
+  bool new_fired = false;
+  const auto old_id = engine.at(1.0, [&] { old_fired = true; });
+  ASSERT_TRUE(engine.cancel(old_id));
+  // The cancelled event's slot is free again; the next push takes it.
+  const auto new_id = engine.at(1.0, [&] { new_fired = true; });
+  ASSERT_EQ(new_id.slot, old_id.slot);
+  ASSERT_NE(new_id.seq, old_id.seq);
+  EXPECT_FALSE(engine.cancel(old_id));
+  EXPECT_EQ(engine.pending(), 1u);
+  engine.run();
+  EXPECT_FALSE(old_fired);
+  EXPECT_TRUE(new_fired);
+  // Once fired, neither id cancels anything, even after the slot is reused.
+  engine.at(2.0, [] {});
+  EXPECT_FALSE(engine.cancel(old_id));
+  EXPECT_FALSE(engine.cancel(new_id));
+  EXPECT_EQ(engine.pending(), 1u);
+}
+
+TEST(Engine, CancelChurnKeepsTimeInsertionOrderAndExactPending) {
+  // Many events share a few timestamps; every round cancels some of the
+  // pending ones and schedules more, so slots are recycled constantly and
+  // stale heap entries pile up. The survivors must still fire in (time,
+  // insertion) order, and pending() must count exactly the live events.
+  Engine engine;
+  std::vector<std::pair<Time, int>> fired;
+  std::vector<std::pair<Engine::EventId, std::pair<Time, int>>> live;
+  std::uint64_t lcg = 12345;
+  const auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return lcg >> 33;
+  };
+  int label = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 20; ++i) {
+      const Time t = static_cast<Time>(next() % 4);
+      const int id = label++;
+      const auto event =
+          engine.at(t, [&fired, t, id] { fired.push_back({t, id}); });
+      live.push_back({event, {t, id}});
+    }
+    for (int i = 0; i < 15 && !live.empty(); ++i) {
+      const std::size_t victim = next() % live.size();
+      ASSERT_TRUE(engine.cancel(live[victim].first));
+      EXPECT_FALSE(engine.cancel(live[victim].first));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    ASSERT_EQ(engine.pending(), live.size());
+  }
+  std::vector<std::pair<Time, int>> expected;
+  for (const auto& entry : live) expected.push_back(entry.second);
+  std::sort(expected.begin(), expected.end());
+  engine.run();
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_TRUE(engine.empty());
 }
 
 TEST(Engine, DeterministicAcrossRuns) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -130,6 +133,58 @@ TEST(Server, BusyTimeAccumulates) {
   server.submit(2.5, [] {});
   engine.run();
   EXPECT_DOUBLE_EQ(server.busy_time(), 4.0);
+}
+
+TEST(Server, UnequalServiceTimesCompleteInTimeOrderWhileRecyclingSlots) {
+  // Three slots, eight items: every completion frees a slot that the next
+  // queued item takes, so in-service slots are recycled five times.
+  Engine engine;
+  Server server(engine, 3);
+  const std::vector<double> service = {5.0, 1.0, 3.0, 2.0, 4.0, 1.0, 2.0, 6.0};
+  std::vector<std::pair<int, double>> done;
+  for (std::size_t i = 0; i < service.size(); ++i) {
+    server.submit(service[i], [&, i] {
+      EXPECT_LE(server.in_service(), 3);
+      done.push_back({static_cast<int>(i), engine.now()});
+    });
+  }
+  EXPECT_EQ(server.in_service(), 3);
+  EXPECT_EQ(server.backlog(), 5u);
+  engine.run();
+  // Hand-derived FIFO c-server schedule; equal-time completions keep
+  // their start order.
+  EXPECT_EQ(done, (std::vector<std::pair<int, double>>{{1, 1.0},
+                                                       {2, 3.0},
+                                                       {3, 3.0},
+                                                       {5, 4.0},
+                                                       {0, 5.0},
+                                                       {6, 6.0},
+                                                       {4, 7.0},
+                                                       {7, 11.0}}));
+  EXPECT_EQ(server.completed(), 8u);
+  EXPECT_DOUBLE_EQ(server.busy_time(), 24.0);
+  EXPECT_TRUE(server.idle());
+}
+
+TEST(Server, DoneMayResubmitToTheSameServer) {
+  // A's completion resubmits to the server it is finishing on. The
+  // resubmission queues behind B, which was already waiting, and later
+  // ones start at once on the idle server.
+  Engine engine;
+  Server server(engine, 1);
+  std::vector<std::pair<std::string, double>> log;
+  int rounds = 0;
+  std::function<void()> again = [&] {
+    log.push_back({"A" + std::to_string(rounds), engine.now()});
+    if (++rounds < 3) server.submit(1.0, again);
+  };
+  server.submit(1.0, again);
+  server.submit(2.0, [&] { log.push_back({"B", engine.now()}); });
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::pair<std::string, double>>{
+                     {"A0", 1.0}, {"B", 3.0}, {"A1", 4.0}, {"A2", 5.0}}));
+  EXPECT_EQ(server.completed(), 4u);
+  EXPECT_TRUE(server.idle());
 }
 
 TEST(Server, NegativeServiceTimeThrows) {
