@@ -1,8 +1,7 @@
 #include "journal/journal.hpp"
 
-#include <array>
+#include <algorithm>
 #include <charconv>
-#include <cstdio>
 
 namespace flotilla::journal {
 
@@ -35,36 +34,36 @@ bool split_fields(std::string_view body, std::string_view& tag,
   return true;
 }
 
+// to_chars never writes a '+', a leading zero or "-0"; from_chars takes
+// the last two, which would re-encode to other bytes.
+bool canonical_integer(std::string_view text) {
+  const std::string_view digits =
+      !text.empty() && text.front() == '-' ? text.substr(1) : text;
+  return !digits.empty() && (digits.front() != '0' || text == "0");
+}
+
 bool parse_i64(std::string_view text, std::int64_t& out) {
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
+  return ec == std::errc{} && ptr == text.data() + text.size() &&
+         canonical_integer(text);
 }
 
 bool parse_u64(std::string_view text, std::uint64_t& out) {
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-bool parse_time(std::string_view text, sim::Time& out) {
-  // std::from_chars for double is not universally available; sscanf on a
-  // bounded copy is. The %.9f canonical form always fits.
-  std::array<char, 64> buf{};
-  if (text.empty() || text.size() >= buf.size()) return false;
-  text.copy(buf.data(), text.size());
-  double value = 0.0;
-  if (std::sscanf(buf.data(), "%lf", &value) != 1) return false;
-  out = value;
-  return true;
+  return ec == std::errc{} && ptr == text.data() + text.size() &&
+         canonical_integer(text);
 }
 
 // Decodes one line body (checksum already stripped and verified) into
-// `record`. Enforces the canonical field order so that decode(encode(r))
-// round-trips and any hand-edited journal is rejected loudly.
-bool decode_body(std::string_view body, Record& record, std::string& error) {
+// `record`, splitting into the caller's `fields` so one vector serves
+// every line. Enforces the canonical field order and number forms so that
+// decode(encode(r)) round-trips and any hand-edited journal is rejected
+// loudly.
+bool decode_body(std::string_view body, std::vector<Field>& fields,
+                 Record& record, std::string& error) {
   std::string_view tag;
-  std::vector<Field> fields;
   if (!split_fields(body, tag, fields)) {
     error = "malformed field (missing '=')";
     return false;
@@ -120,7 +119,7 @@ bool decode_body(std::string_view body, Record& record, std::string& error) {
       return false;
     }
     if (!expect(2, "spec", v)) return false;
-    record.spec = std::string(v);
+    record.spec.assign(v);
     return true;
   }
   if (tag == "ready") {
@@ -133,13 +132,13 @@ bool decode_body(std::string_view body, Record& record, std::string& error) {
     if (!check_arity(6)) return false;
     if (!expect_time(0, record.time)) return false;
     if (!expect(1, "uid", v)) return false;
-    record.uid = std::string(v);
+    record.uid.assign(v);
     if (!expect(2, "from", v)) return false;
-    record.from = std::string(v);
+    record.from.assign(v);
     if (!expect(3, "to", v)) return false;
-    record.to = std::string(v);
+    record.to.assign(v);
     if (!expect(4, "backend", v)) return false;
-    record.backend = std::string(v);
+    record.backend.assign(v);
     return expect_i64(5, "attempt", record.attempt);
   }
   if (tag == "alloc") {
@@ -155,9 +154,9 @@ bool decode_body(std::string_view body, Record& record, std::string& error) {
     if (!check_arity(5)) return false;
     if (!expect_time(0, record.time)) return false;
     if (!expect(1, "kind", v)) return false;
-    record.kind = std::string(v);
+    record.kind.assign(v);
     if (!expect(2, "backend", v)) return false;
-    record.backend = std::string(v);
+    record.backend.assign(v);
     return expect_i64(3, "index", record.index) &&
            expect_i64(4, "count", record.count);
   }
@@ -191,11 +190,15 @@ bool strip_checksum(std::string_view line, std::string_view& body,
   std::uint64_t stored = 0;
   const auto [ptr, ec] = std::from_chars(
       hex.data(), hex.data() + hex.size(), stored, 16);
-  if (ec != std::errc{} || ptr != hex.data() + hex.size()) {
+  const bool lowercase = std::none_of(hex.begin(), hex.end(), [](char c) {
+    return c >= 'A' && c <= 'F';
+  });
+  if (ec != std::errc{} || ptr != hex.data() + hex.size() || !lowercase) {
     error = "malformed checksum";
     return false;
   }
-  const std::uint32_t expected = fnv1a32(std::string(body) + "|h=");
+  // The sum covers the body and the "|h=" marker: all but the hex digits.
+  const std::uint32_t expected = fnv1a32(line.substr(0, line.size() - 8));
   if (static_cast<std::uint32_t>(stored) != expected) {
     error = "checksum mismatch";
     return false;
@@ -207,6 +210,12 @@ bool strip_checksum(std::string_view line, std::string_view& body,
 
 ReadResult read(std::string_view bytes) {
   ReadResult out;
+  // One slot per terminated line, plus a possible unterminated tail.
+  out.records.reserve(
+      static_cast<std::size_t>(std::count(bytes.begin(), bytes.end(), '\n')) +
+      1);
+  std::vector<Field> fields;
+  std::string error;
   std::size_t pos = 0;
   while (pos < bytes.size()) {
     const std::size_t nl = bytes.find('\n', pos);
@@ -214,10 +223,10 @@ ReadResult read(std::string_view bytes) {
     const std::string_view line =
         is_tail ? bytes.substr(pos) : bytes.substr(pos, nl - pos);
     std::string_view body;
-    std::string error;
-    Record record;
+    Record& record = out.records.emplace_back();
     const bool ok = strip_checksum(line, body, error) &&
-                    decode_body(body, record, error);
+                    decode_body(body, fields, record, error);
+    if (!ok || is_tail) out.records.pop_back();
     if (!ok) {
       if (is_tail) {
         // Crash-mid-write artifact: tolerated, reported.
@@ -238,7 +247,6 @@ ReadResult read(std::string_view bytes) {
       out.truncated_bytes = line.size();
       return out;
     }
-    out.records.push_back(std::move(record));
     pos = nl + 1;
   }
   return out;

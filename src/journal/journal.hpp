@@ -21,9 +21,10 @@ namespace flotilla::journal {
 
 class Writer {
  public:
-  // Appends one record (encoded, checksummed, '\n'-terminated).
+  // Appends one record (encoded, checksummed, '\n'-terminated) in place.
+  // A record that raises leaves the buffer and the count unchanged.
   void append(const Record& record) {
-    bytes_ += record.encode();
+    record.encode_to(bytes_);
     ++records_;
   }
 

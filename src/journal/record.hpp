@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "sim/engine.hpp"
 
@@ -68,9 +69,14 @@ struct Record {
   std::int64_t canceled = 0;
   std::uint64_t events = 0;
 
-  // One '\n'-terminated line with a trailing checksum field. Raises
-  // util::Error if any string field contains '|' or '\n' (the journal is
-  // single-line records by construction).
+  // Appends one '\n'-terminated line with a trailing checksum field to
+  // `out`, in place. Raises util::Error if any string field contains '|'
+  // or '\n' (the journal is single-line records by construction), or if
+  // the time is not finite or its text does not fit a field; `out` is
+  // then left exactly as it was, so a buffer only grows by whole lines.
+  void encode_to(std::string& out) const;
+
+  // The same line as a string of its own.
   std::string encode() const;
 
   // Two records are equal iff their canonical encodings are equal.
@@ -94,5 +100,10 @@ Record end_record(sim::Time time, std::int64_t done, std::int64_t failed,
 
 // FNV-1a 32-bit over `text`, the per-line checksum primitive.
 std::uint32_t fnv1a32(std::string_view text);
+
+// Parses a time field. Accepts only the text encode_to writes: a finite
+// value whose fixed 9-digit form is exactly `text`, so a decoded record
+// re-encodes to the same bytes.
+bool parse_time(std::string_view text, sim::Time& out);
 
 }  // namespace flotilla::journal

@@ -1,5 +1,6 @@
 #include "journal/scribe.hpp"
 
+#include <string_view>
 #include <utility>
 
 namespace flotilla::journal {
@@ -32,10 +33,10 @@ Scribe::Scribe(core::Session& session)
   session_.cluster().add_observer(this);
 }
 
-Scribe::Scribe(core::Session& session, std::vector<Record> prefix)
+Scribe::Scribe(core::Session& session, const std::vector<Record>& prefix)
     : Scribe(session) {
-  prefix_ = std::move(prefix);
-  validating_ = true;
+  for (const Record& record : prefix) record.encode_to(prefix_);
+  prefix_records_ = prefix.size();
 }
 
 Scribe::~Scribe() { session_.cluster().remove_observer(this); }
@@ -43,10 +44,13 @@ Scribe::~Scribe() { session_.cluster().remove_observer(this); }
 void Scribe::attach(core::TaskManager& tmgr) {
   tmgr.on_transition([this](const core::Task& task, core::TaskState from,
                             core::TaskState to) {
-    emit(transition_record(session_.now(), task.uid(),
-                           std::string(core::to_string(from)),
-                           std::string(core::to_string(to)), task.backend(),
-                           task.attempts()));
+    transition_.time = session_.now();
+    transition_.uid = task.uid();
+    transition_.from = core::to_string(from);
+    transition_.to = core::to_string(to);
+    transition_.backend = task.backend();
+    transition_.attempt = task.attempts();
+    emit(transition_);
   });
 }
 
@@ -82,16 +86,22 @@ void Scribe::node_changed(platform::NodeId node) {
 }
 
 void Scribe::emit(const Record& record) {
-  if (validating_ && !diverged_ && cursor_ < prefix_.size()) {
-    const std::string expected = prefix_[cursor_].encode();
-    const std::string got = record.encode();
+  const std::size_t start = writer_.bytes().size();
+  writer_.append(record);
+  if (!diverged_ && cursor_ < prefix_records_) {
+    const std::string_view got =
+        std::string_view(writer_.bytes()).substr(start);
+    const std::size_t end = prefix_.find('\n', prefix_pos_) + 1;
+    const std::string_view expected =
+        std::string_view(prefix_).substr(prefix_pos_, end - prefix_pos_);
     if (expected != got) {
       diverged_ = true;
-      divergence_ = Divergence{cursor_, expected, got};
+      divergence_ = Divergence{cursor_, std::string(expected),
+                               std::string(got)};
     }
-    ++cursor_;
+    prefix_pos_ = end;
+    if (++cursor_ == prefix_records_) prefix_ = std::string();
   }
-  writer_.append(record);
   obs_trace_.instant(obs::SpanType::kJournal, "journal",
                      to_string(record.type), 1.0);
 }

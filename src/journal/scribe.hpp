@@ -10,11 +10,12 @@
 //
 // Two modes:
 //   record    append every record to the journal (a normal durable run).
-//   validate  the recovery path. Constructed with a journal prefix, the
-//             scribe re-executes the run and compares each emitted record
-//             against the prefix, byte for byte. The first mismatch is
-//             captured as a Divergence (a recovery bug: the restored state
-//             does not reproduce the journaled history). Once the prefix
+//   validate  the recovery path. Constructed with a journal prefix, which
+//             it encodes once into bytes, the scribe re-executes the run
+//             and compares each line it appends against the next prefix
+//             line, byte for byte. The first mismatch is captured as a
+//             Divergence (a recovery bug: the restored state does not
+//             reproduce the journaled history). Once the prefix
 //             is exhausted the run "goes live" — replay_complete() — and
 //             keeps appending, so a recovered journal grows into exactly
 //             the bytes an uninterrupted run would have produced.
@@ -43,8 +44,9 @@ class Scribe : public platform::Cluster::Observer {
   // Record mode: every emitted record is appended.
   explicit Scribe(core::Session& session);
   // Validate mode: emitted records are checked against `prefix` first
-  // (recovery replay); appending continues either way.
-  Scribe(core::Session& session, std::vector<Record> prefix);
+  // (recovery replay); appending continues either way. The prefix is
+  // encoded on construction; the vector is not kept.
+  Scribe(core::Session& session, const std::vector<Record>& prefix);
   ~Scribe() override;
 
   Scribe(const Scribe&) = delete;
@@ -70,7 +72,7 @@ class Scribe : public platform::Cluster::Observer {
   std::size_t records() const { return writer_.records(); }
 
   // Validation state (validate mode; trivially true/false in record mode).
-  bool replay_complete() const { return cursor_ >= prefix_.size(); }
+  bool replay_complete() const { return cursor_ >= prefix_records_; }
   std::size_t cursor() const { return cursor_; }
   bool diverged() const { return diverged_; }
   const Divergence& divergence() const { return divergence_; }
@@ -82,10 +84,16 @@ class Scribe : public platform::Cluster::Observer {
   obs::TraceHandle obs_trace_;
   Writer writer_;
 
-  // Validation cursor over the journal prefix (empty in record mode).
-  std::vector<Record> prefix_;
+  // The transition hook's record, reused so that assigning into its
+  // strings keeps their capacity from one edge to the next.
+  Record transition_;
+
+  // The journal prefix as encoded lines, and the validation cursor over
+  // it (empty in record mode; released once the replay is complete).
+  std::string prefix_;
+  std::size_t prefix_records_ = 0;
+  std::size_t prefix_pos_ = 0;  // byte offset of line cursor_
   std::size_t cursor_ = 0;
-  bool validating_ = false;
   bool diverged_ = false;
   Divergence divergence_;
 

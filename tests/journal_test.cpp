@@ -6,14 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "check/runner.hpp"
 #include "check/spec.hpp"
+#include "core/session.hpp"
 #include "journal/journal.hpp"
 #include "journal/record.hpp"
 #include "journal/recovery.hpp"
+#include "journal/scribe.hpp"
+#include "platform/cluster.hpp"
 #include "sim/random.hpp"
 #include "util/error.hpp"
 
@@ -116,7 +122,142 @@ TEST(Codec, TimesAreFixedPrecision) {
   EXPECT_NE(line.find("t=0.333333333|"), std::string::npos) << line;
 }
 
+TEST(Codec, EncodeToAppendsExactlyEncode) {
+  sim::RngStream rng(11, "journal.test");
+  std::string buffer = "existing bytes\n";
+  std::string expected = buffer;
+  for (int i = 0; i < 50; ++i) {
+    const Record record = random_record(rng);
+    record.encode_to(buffer);
+    expected += record.encode();
+    ASSERT_EQ(buffer, expected) << "record " << i;
+  }
+}
+
+TEST(Codec, TimesPrintAsPrintfFixedNine) {
+  // encode_to formats with std::to_chars(fixed, 9); it must print exactly
+  // what %.9f prints, or journals written before and after would differ.
+  sim::RngStream rng(12, "journal.test");
+  std::vector<double> times = {0.0,   -0.0, 1.0 / 3.0, 1e-10,
+                               1e9 + 0.5, 2.5e-9, 0.0000000005, 123456.789};
+  for (int i = 0; i < 500; ++i) {
+    times.push_back(rng.uniform(0.0, 1e6));
+    times.push_back(rng.uniform(0.0, 1.0));
+    times.push_back(rng.exponential(3600.0));
+  }
+  for (const double t : times) {
+    char printed[512];
+    std::snprintf(printed, sizeof printed, "%.9f", t);
+    const std::string line = ready_record(t).encode();
+    EXPECT_EQ(line.substr(0, line.find("|h=")),
+              std::string("ready|t=") + printed);
+  }
+}
+
+TEST(Codec, TimeThatDoesNotFitItsFieldRaises) {
+  // %.9f of 1e100 is 111 characters; a silently cut field would decode
+  // to another time.
+  EXPECT_THROW(ready_record(1e100).encode(), util::Error);
+  EXPECT_THROW(ready_record(-1e100).encode(), util::Error);
+  EXPECT_THROW(
+      ready_record(std::numeric_limits<double>::infinity()).encode(),
+      util::Error);
+  EXPECT_THROW(
+      ready_record(std::numeric_limits<double>::quiet_NaN()).encode(),
+      util::Error);
+  EXPECT_NO_THROW(ready_record(1e50).encode());
+}
+
+TEST(Codec, RaisingRecordLeavesTheWriterUnchanged) {
+  // Line atomicity: the writer only ever grows by whole records.
+  Writer writer;
+  writer.append(header_record(1, "seed=1"));
+  writer.append(ready_record(0.5));
+  const std::string before = writer.bytes();
+  const std::vector<Record> bad = {
+      transition_record(1.0, "task.0", "NEW", "DONE", "flux|x", 0),
+      transition_record(1.0, "task.0", "NEW", "DONE\n", "flux", 0),
+      fault_record(1.0, "crash", "dragon|0", 0, 1),
+      header_record(2, "spec|with-bar"),
+      ready_record(1e100),
+  };
+  for (const Record& record : bad) {
+    EXPECT_THROW(writer.append(record), util::Error);
+    EXPECT_EQ(writer.bytes(), before);
+    EXPECT_EQ(writer.records(), 2u);
+  }
+  writer.append(end_record(2.0, 1, 0, 0, 9));
+  EXPECT_EQ(writer.records(), 3u);
+  EXPECT_TRUE(read(writer.bytes()).intact());
+}
+
 // ------------------------------------------------- torn tail vs corruption
+
+// A line with a correct checksum over an arbitrary body: what a hand edit
+// (or a foreign writer) would produce.
+std::string checksummed(const std::string& body) {
+  const std::string marked = body + "|h=";
+  char sum[16];
+  std::snprintf(sum, sizeof sum, "%08x", fnv1a32(marked));
+  return marked + sum + "\n";
+}
+
+TEST(Reader, RejectsNonCanonicalNumbers) {
+  // Each body parses as a number under a lenient reader but re-encodes to
+  // other bytes, which would break decode(encode(r)) == r.
+  const std::vector<std::string> bodies = {
+      "ready|t=1.500000000x",
+      "ready|t= 1.5",
+      "ready|t=+1.5",
+      "ready|t=0x1p3",
+      "ready|t=inf",
+      "ready|t=nan",
+      "ready|t=1.5",
+      "ready|t=1.5e0",
+      "ready|t=01.500000000",
+      "alloc|t=1.000000000|node=01|cores=-4|gpus=0",
+      "alloc|t=1.000000000|node=1|cores=-0|gpus=0",
+      "alloc|t=1.000000000|node=1|cores=+4|gpus=0",
+  };
+  const std::string good = ready_record(2.0).encode();
+  ASSERT_TRUE(read(checksummed("ready|t=1.500000000")).intact());
+  for (const auto& body : bodies) {
+    const std::string line = checksummed(body);
+    // Not the final line: corruption, with the record's index.
+    const auto mid = read(good + line + good);
+    EXPECT_TRUE(mid.corrupt) << body;
+    EXPECT_EQ(mid.corrupt_index, 1u) << body;
+    EXPECT_EQ(mid.records.size(), 1u) << body;
+    // The final line, unterminated: a torn tail.
+    const auto tail = read(good + line.substr(0, line.size() - 1));
+    EXPECT_TRUE(tail.intact()) << body;
+    EXPECT_TRUE(tail.truncated) << body;
+    EXPECT_EQ(tail.truncated_bytes, line.size() - 1) << body;
+    EXPECT_EQ(tail.records.size(), 1u) << body;
+    // The final line, terminated: a complete line, so damage as well.
+    const auto last = read(good + line);
+    EXPECT_TRUE(last.corrupt) << body;
+    EXPECT_EQ(last.corrupt_index, 1u) << body;
+  }
+}
+
+TEST(Reader, RejectsUppercaseChecksumDigits) {
+  // The first record whose checksum has a letter digit, with the letters
+  // upper-cased: the same value, but not the bytes encode_to writes.
+  std::string line;
+  for (int i = 0; line.empty(); ++i) {
+    const std::string candidate = ready_record(i).encode();
+    const std::string_view hex(candidate.data() + candidate.size() - 9, 8);
+    if (hex.find_first_of("abcdef") != std::string_view::npos) {
+      line = candidate;
+    }
+  }
+  std::transform(line.end() - 9, line.end() - 1, line.end() - 9,
+                 [](char c) { return c >= 'a' && c <= 'f' ? c - 32 : c; });
+  const auto result = read(line + ready_record(2.0).encode());
+  EXPECT_TRUE(result.corrupt) << line;
+  EXPECT_EQ(result.corrupt_index, 0u);
+}
 
 TEST(Reader, TruncatedTailIsToleratedAndReported) {
   const auto bytes = random_journal(3, 20);
@@ -232,6 +373,29 @@ TEST(RecoveryManager, FoldsThePrefixIntoAStateImage) {
   EXPECT_EQ(image.gpu_delta.at(2), 0);
 }
 
+// ----------------------------------------------------- validate mode
+
+TEST(Scribe, ValidatesAgainstAPrefixPassedAsATemporary) {
+  // The scribe encodes the prefix on construction and keeps no reference
+  // to the vector, so a temporary is fine.
+  core::Session session(platform::frontier_spec(), 2, 7);
+  Scribe scribe(session,
+                std::vector<Record>{header_record(7, "seed=7"),
+                                    ready_record(0.0)});
+  EXPECT_FALSE(scribe.replay_complete());
+  scribe.record_header(7, "seed=7");
+  scribe.record_ready();
+  EXPECT_FALSE(scribe.diverged());
+  EXPECT_TRUE(scribe.replay_complete());
+  EXPECT_EQ(scribe.cursor(), 2u);
+  // Live from here: records keep appending past the prefix.
+  scribe.record_end(0, 0, 0, 0);
+  EXPECT_EQ(scribe.records(), 3u);
+  EXPECT_EQ(scribe.writer().bytes(),
+            header_record(7, "seed=7").encode() + ready_record(0.0).encode() +
+                end_record(0.0, 0, 0, 0, 0).encode());
+}
+
 // ---------------------------------------------- full-run byte determinism
 
 check::ScenarioSpec small_spec() {
@@ -277,6 +441,50 @@ TEST(Journal, HeaderStripsTheOracleDimensions) {
   const auto ref_header = reference.journal.substr(
       0, reference.journal.find('\n') + 1);
   EXPECT_EQ(crashed.journal, ref_header);
+}
+
+TEST(Recovery, DivergenceNamesTheFlippedRecordWithBothFullLines) {
+  // A real prefix with one record altered and re-checksummed: it reads as
+  // intact, so only the replay can notice. The divergence must carry that
+  // record's index, the journaled (altered) line and the re-executed one.
+  const auto spec = small_spec();
+  check::RunOptions opts;
+  opts.journal = true;
+  const auto reference = check::run_scenario(spec, opts);
+  ASSERT_TRUE(reference.ok());
+  auto records = read(reference.journal).records;
+  std::size_t flipped = 0;
+  for (std::size_t i = records.size() / 2; i < records.size(); ++i) {
+    if (records[i].type == RecordType::kTransition) {
+      flipped = i;
+      break;
+    }
+  }
+  ASSERT_GT(flipped, 0u);
+  const std::string original = records[flipped].encode();
+  records[flipped].attempt += 7;
+  const std::string altered = records[flipped].encode();
+  Writer writer;
+  for (const auto& record : records) writer.append(record);
+
+  const RecoveryManager rm(writer.bytes());
+  auto ropts = opts;
+  ropts.recovery = &rm;
+  const auto recovered = check::run_scenario(spec, ropts);
+  const auto chomp = [](std::string line) {
+    line.pop_back();
+    return line;
+  };
+  const auto it = std::find_if(
+      recovered.violations.begin(), recovered.violations.end(),
+      [](const check::Violation& v) {
+        return v.invariant == "recovery-divergence";
+      });
+  ASSERT_NE(it, recovered.violations.end());
+  EXPECT_EQ(it->detail,
+            "replay diverged from the journal at record #" +
+                std::to_string(flipped) + ": expected [" + chomp(altered) +
+                "] got [" + chomp(original) + "]");
 }
 
 // ------------------------------------------- crash-at-every-event sweep

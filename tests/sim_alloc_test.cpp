@@ -5,7 +5,8 @@
 // On a single-shard engine, once the calendar and server slot vectors have
 // grown to their working size, a Server round trip whose `done` fits
 // std::function's inline buffer, and an invoke_on that does not hop, must
-// not touch the heap at all.
+// not touch the heap at all. A journal Writer encodes records in place, so
+// it allocates only when its buffer grows.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,6 +14,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "journal/journal.hpp"
+#include "journal/record.hpp"
 #include "sim/engine.hpp"
 #include "sim/server.hpp"
 
@@ -117,3 +120,30 @@ TEST(SimAlloc, InvokeOnWithoutHopAllocatesNothing) {
 
 }  // namespace
 }  // namespace flotilla::sim
+
+namespace flotilla::journal {
+namespace {
+
+TEST(JournalAlloc, WriterAppendAllocatesOnlyToGrowItsBuffer) {
+  // Field values past the small-string size, so a per-record temporary
+  // line or field string would have to allocate.
+  Record record = transition_record(0.0, "task.000000000001",
+                                    "AGENT_STAGING_INPUT_PENDING",
+                                    "AGENT_SCHEDULING", "flux.partition.12", 1);
+  Writer writer;
+  constexpr int kRecords = 10000;
+  const std::uint64_t allocations = allocations_during([&] {
+    for (int i = 0; i < kRecords; ++i) {
+      record.time = 0.001 * i;
+      record.attempt = i % 3;
+      writer.append(record);
+    }
+  });
+  EXPECT_EQ(writer.records(), static_cast<std::size_t>(kRecords));
+  // Geometric growth to ~1 MB takes about 17 doublings.
+  EXPECT_LE(allocations, 32u) << "over " << kRecords << " records";
+  EXPECT_TRUE(read(writer.bytes()).intact());
+}
+
+}  // namespace
+}  // namespace flotilla::journal

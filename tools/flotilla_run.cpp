@@ -290,7 +290,13 @@ int main(int argc, char** argv) {
         std::cerr << "cannot open --journal '" << journal_path << "'\n";
         return 2;
       }
-      out << scribe->writer().bytes();
+      const auto& bytes = scribe->writer().bytes();
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      out.close();
+      if (!out) {
+        std::cerr << "cannot write --journal '" << journal_path << "'\n";
+        return 2;
+      }
       std::cout << "journal: " << journal_path << " (" << scribe->records()
                 << " records, " << scribe->writer().bytes().size()
                 << " bytes)\n";
