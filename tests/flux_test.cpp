@@ -207,6 +207,49 @@ TEST(FluxInstance, CrashRaisesExceptionsAndFreesResources) {
   EXPECT_EQ(cluster.free_cores(NodeRange{0, 2}), 112);
 }
 
+TEST(FluxInstance, CrashReapsQueuedThenRunningBySortedIdThenMarker) {
+  // Three whole-node jobs start in the order c, a, b; two more wait. The
+  // crash must report the queue in queue order, then the running jobs in
+  // sorted id order (not start order), then the instance-level marker, and
+  // the reaped jobs' finish timers (due at ~1000 s) must stay silent.
+  sim::Engine engine;
+  Cluster cluster(frontier_spec(), 3);
+  Instance instance("flux.0", engine, cluster, NodeRange{0, 3},
+                    frontier_calibration().flux, 7);
+  std::vector<std::string> started;
+  std::vector<std::string> after_crash;
+  bool crashed = false;
+  instance.on_event([&](const JobEvent& event) {
+    if (event.kind == JobEventKind::kStart) started.push_back(event.job_id);
+    if (!crashed) return;
+    EXPECT_EQ(event.kind, JobEventKind::kException);
+    EXPECT_FALSE(event.success);
+    EXPECT_EQ(event.note, "power lost");
+    after_crash.push_back(event.job_id);
+  });
+  instance.bootstrap([&] {
+    for (const char* id : {"c", "a", "b", "z", "y"}) {
+      Job job;
+      job.id = id;
+      job.demand.cores = 56;
+      job.duration = 1000.0;
+      instance.submit(std::move(job));
+    }
+  });
+  engine.run(60.0);
+  ASSERT_EQ(started, (std::vector<std::string>{"c", "a", "b"}));
+  ASSERT_EQ(instance.queue_depth(), 2u);
+  crashed = true;
+  instance.crash("power lost");
+  engine.run();
+  EXPECT_GT(engine.now(), 1000.0);  // the finish timers did fire
+  EXPECT_EQ(after_crash,
+            (std::vector<std::string>{"z", "y", "a", "b", "c", ""}));
+  EXPECT_EQ(instance.running_jobs(), 0u);
+  EXPECT_EQ(instance.jobs_completed(), 0u);
+  EXPECT_EQ(cluster.free_cores(NodeRange{0, 3}), 168);
+}
+
 // --------------------------------------------------------------- backend
 
 TEST(FluxBackend, ThroughputScalesWithNodeCount) {
