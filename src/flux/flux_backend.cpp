@@ -15,6 +15,7 @@ FluxBackend::FluxBackend(sim::Engine& engine, platform::Cluster& cluster,
     : engine_(engine),
       allocation_(allocation),
       cores_per_node_(cluster.spec().cores_per_node),
+      gpus_per_node_(cluster.spec().gpus_per_node),
       srun_ceiling_(srun_ceiling) {
   FLOT_CHECK(backfill_depth >= 1, "backfill depth must be >= 1");
   const auto ranges = platform::Cluster::partition(allocation, partitions);
@@ -61,12 +62,29 @@ void FluxBackend::bootstrap(ReadyHandler ready) {
   }
 }
 
+bool FluxBackend::fits_partition(const platform::ResourceDemand& demand,
+                                 std::int64_t nodes) const {
+  if (demand.cores > nodes * cores_per_node_ ||
+      demand.gpus > nodes * gpus_per_node_) {
+    return false;
+  }
+  if (demand.cores_per_node <= 0) return true;
+  // Each chunk lands on one node, and the first chunk is the largest:
+  // min(cores, cores_per_node) cores and ceil(gpus / chunks) GPUs.
+  const std::int64_t chunks = std::max<std::int64_t>(
+      1, (demand.cores + demand.cores_per_node - 1) / demand.cores_per_node);
+  return std::min(demand.cores, demand.cores_per_node) <= cores_per_node_ &&
+         (demand.gpus + chunks - 1) / chunks <= gpus_per_node_;
+}
+
 int FluxBackend::pick_instance(const platform::ResourceDemand& demand,
                                const std::string& gang) const {
   const int n = static_cast<int>(instances_.size());
   // Round-robin over healthy instances whose partition is large enough for
-  // the task (a multi-node task cannot span instances). Gang members hash
-  // to a stable instance so the whole gang lands on one scheduler.
+  // the task (a multi-node task cannot span instances); a task that no
+  // empty partition could hold would otherwise wait in a queue forever.
+  // Gang members hash to a stable instance so the whole gang lands on one
+  // scheduler.
   const int base =
       gang.empty() ? rr_cursor_
                    : static_cast<int>(sim::RngStream::hash(gang) %
@@ -75,10 +93,7 @@ int FluxBackend::pick_instance(const platform::ResourceDemand& demand,
     const int i = (base + step) % n;
     const auto& instance = *instances_[static_cast<size_t>(i)];
     if (!instance.healthy()) continue;
-    const auto cores_capacity =
-        static_cast<std::int64_t>(instance.partition().count) *
-        cores_per_node_;
-    if (demand.cores > cores_capacity) continue;
+    if (!fits_partition(demand, instance.partition().count)) continue;
     if (gang.empty()) rr_cursor_ = (i + 1) % n;
     return i;
   }

@@ -83,6 +83,9 @@ class FluxBackend : public platform::TaskBackend {
 
  private:
   void handle_event(const JobEvent& event);
+  // Whether an empty partition of `nodes` nodes could hold `demand`.
+  bool fits_partition(const platform::ResourceDemand& demand,
+                      std::int64_t nodes) const;
   int pick_instance(const platform::ResourceDemand& demand,
                     const std::string& gang) const;
   void fail_task(const std::string& id, const std::string& error);
@@ -90,6 +93,7 @@ class FluxBackend : public platform::TaskBackend {
   sim::Engine& engine_;
   platform::NodeRange allocation_;
   int cores_per_node_;
+  int gpus_per_node_;
   std::string name_ = "flux";
   std::vector<std::unique_ptr<Instance>> instances_;
   sim::Resource* srun_ceiling_;  // may be null (no ceiling coupling)

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/ordered.hpp"
 
 namespace flotilla::flux {
 
@@ -177,7 +176,7 @@ bool Instance::try_schedule_gang(std::string gang) {
   for (std::size_t m = 0; m < members.size(); ++m) {
     members[m]->placement = std::move(placements[m]);
     members[m]->state = JobState::kSched;
-    active_.emplace(members[m]->id, members[m]);
+    track(members[m]);
   }
   pending_.remove_if(
       [&gang](const sched::QueueEntry& entry) { return entry.gang == gang; });
@@ -216,7 +215,7 @@ void Instance::run_sched_decision() {
     job->placement = std::move(*placement);
     job->state = JobState::kSched;
     // Tracked from allocation on, so a crash mid-spawn still reaps it.
-    active_.emplace(job->id, job);
+    track(job);
     emit(JobEventKind::kAlloc, job->id);
     dispatch(std::move(job));
     kick_scheduler();  // next decision costs another rank-0 pass
@@ -307,8 +306,25 @@ void Instance::dispatch(std::shared_ptr<Job> job) {
   }
 }
 
+void Instance::track(const std::shared_ptr<Job>& job) {
+  job->live_slot = active_.size();
+  active_.push_back(job);
+}
+
+bool Instance::untrack(Job& job) {
+  if (job.live_slot == Job::kNotLive) return false;
+  const std::size_t slot = job.live_slot;
+  job.live_slot = Job::kNotLive;
+  if (slot + 1 != active_.size()) {
+    active_[slot] = std::move(active_.back());
+    active_[slot]->live_slot = slot;
+  }
+  active_.pop_back();
+  return true;
+}
+
 void Instance::job_started(std::shared_ptr<Job> job) {
-  if (job->state == JobState::kInactive || active_.count(job->id) == 0) {
+  if (job->state == JobState::kInactive || job->live_slot == Job::kNotLive) {
     return;  // the broker crashed while the shim was spawning
   }
   job->state = JobState::kRun;
@@ -329,7 +345,7 @@ void Instance::job_finished(std::shared_ptr<Job> job) {
   // broker, which is the instance's steady-state throughput limit.
   const double cost = rng_.lognormal_mean_cv(cal_.event_cost, cal_.jitter_cv);
   rank0_.submit(cost, [this, job, failed, finished] {
-    if (active_.erase(job->id) == 0) return;  // crash already reaped it
+    if (!untrack(*job)) return;  // crash already reaped it
     placer_.release(job->placement);
     job->placement.slices.clear();
     FLOT_CHECK(running_ > 0, "completion without running job");
@@ -360,16 +376,19 @@ void Instance::crash_on_shard(const std::string& reason) {
   }
   // Running jobs die with the broker. Resources are released here so the
   // pilot can reuse the nodes after failover; the jobs' pending finish
-  // timers become no-ops once removed from the active set. Sorted order so
-  // the exception-event sequence is reproducible across runs.
-  for (const auto& id : util::sorted_keys(active_)) {
-    auto& job = active_.at(id);
+  // timers become no-ops once removed from the live set. Sorted by id so
+  // the exception-event sequence does not depend on slab order.
+  auto live = std::move(active_);
+  active_.clear();
+  std::sort(live.begin(), live.end(),
+            [](const auto& a, const auto& b) { return a->id < b->id; });
+  for (const auto& job : live) {
+    job->live_slot = Job::kNotLive;
     job->state = JobState::kInactive;
     placer_.release(job->placement);
     job->placement.slices.clear();
-    emit(JobEventKind::kException, id, false, reason);
+    emit(JobEventKind::kException, job->id, false, reason);
   }
-  active_.clear();
   running_ = 0;
   // Instance-level exception so RP can trigger failover promptly.
   emit(JobEventKind::kException, "", false, reason);

@@ -110,6 +110,10 @@ class Instance {
   bool try_schedule_gang(std::string gang);
   void dispatch(std::shared_ptr<Job> job);
   void dispatch_gang(std::vector<std::shared_ptr<Job>> members);
+  // Live-job slab: track() appends, untrack() swap-removes and reports
+  // whether the job was live.
+  void track(const std::shared_ptr<Job>& job);
+  bool untrack(Job& job);
   void job_started(std::shared_ptr<Job> job);
   void job_finished(std::shared_ptr<Job> job);
   double sched_decision_cost();
@@ -128,7 +132,8 @@ class Instance {
   sched::TaskQueue pending_;
   sched::BackfillPolicy* backfill_;  // owned by pending_
   sched::Placer placer_;
-  std::unordered_map<std::string, std::shared_ptr<Job>> active_;
+  // Jobs holding resources, in no particular order; each knows its slot.
+  std::vector<std::shared_ptr<Job>> active_;
   std::unordered_map<std::string, Eventlog> eventlogs_;
   EventHandler event_handler_;
   obs::TraceHandle obs_trace_;

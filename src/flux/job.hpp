@@ -2,6 +2,7 @@
 // submits it over the Flux RPC interface (§3.2.1, Fig 2 ②).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -37,6 +38,10 @@ struct Job {
   // Urgency (0..31, default 16): the pending queue is ordered by
   // descending priority, then submission order.
   int priority = 16;
+  // Index into the owning instance's live-job slab while the job holds
+  // resources (allocation until completion or crash); kNotLive otherwise.
+  static constexpr std::size_t kNotLive = static_cast<std::size_t>(-1);
+  std::size_t live_slot = kNotLive;
 };
 
 // Job lifecycle events emitted on the instance's event bus (Fig 2 ④).

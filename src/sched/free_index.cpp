@@ -35,6 +35,7 @@ FreeResourceIndex::~FreeResourceIndex() { cluster_.remove_observer(this); }
 
 void FreeResourceIndex::node_changed(platform::NodeId node) {
   if (!range_.contains(node)) return;
+  ++version_;
   const auto& state = cluster_.node(node);
   int seg = leaves_ + (node - range_.first);
   max_cores_[static_cast<std::size_t>(seg)] = state.free_cores();

@@ -20,7 +20,8 @@
 // Updates are incremental: the index subscribes to Cluster's observer hook
 // and refreshes one root-to-leaf path, O(log n), on every allocate or
 // release — including allocations made behind the placer's back (tests,
-// overlapping spans).
+// overlapping spans). Each in-range change also bumps version(), so a
+// caller can tell that no node of the range changed between two queries.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +43,13 @@ class FreeResourceIndex : public platform::Cluster::Observer {
 
   platform::NodeRange range() const { return range_; }
 
-  // Cluster::Observer: refresh the changed node's root-to-leaf path.
+  // Cluster::Observer: refresh the changed node's root-to-leaf path and
+  // bump version(). Changes outside the range leave both untouched.
   void node_changed(platform::NodeId node) override;
+
+  // Count of in-range node changes seen so far: equal versions mean every
+  // node of the range has the same free state it had before.
+  std::uint64_t version() const { return version_; }
 
   // First node id in [from, limit) with free cores (if need_cores) or free
   // GPUs (if need_gpus); nullopt if none. Exact O(log n).
@@ -75,6 +81,7 @@ class FreeResourceIndex : public platform::Cluster::Observer {
   // hold zero capacity so they never match.
   std::vector<int> max_cores_;
   std::vector<int> max_gpus_;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace flotilla::sched

@@ -22,10 +22,18 @@ Placer::Placer(platform::Cluster& cluster, platform::NodeRange range,
 std::optional<platform::Placement> Placer::place(
     const platform::ResourceDemand& demand) {
   ++stats_.attempts;
-  PlacementInput in{cluster_, range_,
-                    options_.rotate_cursor ? &cursor_ : nullptr,
-                    index_.get()};
-  auto placement = policy_->place(in, demand);
+  std::optional<platform::Placement> placement;
+  if (rejected_ && rejected_->version == index_->version() &&
+      rejected_->demand == demand) {
+    ++stats_.memo_hits;
+  } else {
+    const std::uint64_t version = index_ ? index_->version() : 0;
+    PlacementInput in{cluster_, range_,
+                      options_.rotate_cursor ? &cursor_ : nullptr,
+                      index_.get()};
+    placement = policy_->place(in, demand);
+    if (!placement && index_) rejected_ = Rejection{demand, version};
+  }
   placement ? ++stats_.placed : ++stats_.rejected;
   trace_.instant(obs::SpanType::kPlacementAttempt, trace_component_, "",
                  placement ? 1.0 : 0.0);

@@ -6,6 +6,21 @@
 // Placer per scheduling call site: flux::Instance (fixed origin, like
 // fluxion), Slurmctld, dragon::Runtime and the agent's external-placement
 // path (all rotating).
+//
+// Rejected-demand memo: a scheduling pass over a full range offers the
+// same demand again and again (Flux's backfill scan, a blocked queue head
+// re-kicked by every submission) while no node changes. With the index
+// on, the placer remembers the last demand the policy refused and the
+// index version() it was refused at, and answers an equal demand at the
+// same version with nullopt without running the policy. That is exact:
+// the policy's answer depends only on the in-range node state, the cursor
+// and the demand, and version() moves on every in-range change, whoever
+// makes it. The memo carries the version the refused attempt started at,
+// so it only ever matches when that attempt allocated nothing and hence
+// did not move the cursor either; a multi-chunk probe that allocated and
+// rolled back has moved the version past it and runs again in full,
+// transient allocations included. Every call, memoised or not, still
+// counts in stats() and records its trace instant.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +51,9 @@ struct PlacerStats {
   std::uint64_t attempts = 0;
   std::uint64_t placed = 0;
   std::uint64_t rejected = 0;
+  // Rejections answered from the rejected-demand memo (a subset of
+  // `rejected`): the policy did not run.
+  std::uint64_t memo_hits = 0;
 };
 
 class Placer {
@@ -61,11 +79,13 @@ class Placer {
   PlacementPolicy& policy() { return *policy_; }
 
   // Swaps the placement policy in place (cursor, index and stats are
-  // kept). White-box knob for ablations and the fuzz harness; the
-  // defaults every backend ships with stay first-fit.
+  // kept; the rejected-demand memo is dropped, since another policy may
+  // answer differently). White-box knob for ablations and the fuzz
+  // harness; the defaults every backend ships with stay first-fit.
   void set_policy(PlacementPolicyKind kind) {
     options_.policy = kind;
     policy_ = make_placement_policy(kind);
+    rejected_.reset();
   }
 
   // Attaches structured tracing: every place() call records a
@@ -84,6 +104,13 @@ class Placer {
   std::unique_ptr<FreeResourceIndex> index_;
   platform::NodeId cursor_;
   PlacerStats stats_;
+  // The last demand the policy refused and the index version its attempt
+  // started at (index mode only).
+  struct Rejection {
+    platform::ResourceDemand demand;
+    std::uint64_t version = 0;
+  };
+  std::optional<Rejection> rejected_;
   obs::TraceHandle trace_;
   std::string trace_component_;
 };

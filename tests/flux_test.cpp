@@ -250,6 +250,44 @@ TEST(FluxInstance, CrashReapsQueuedThenRunningBySortedIdThenMarker) {
   EXPECT_EQ(cluster.free_cores(NodeRange{0, 3}), 168);
 }
 
+TEST(FluxInstance, CrashBetweenFinishAndItsCompletionEventReapsOnce) {
+  // The job's finish timer has fired but rank 0 has not yet processed its
+  // completion event when the broker dies: the crash reaps the job, and
+  // the late completion event must neither release its cores again nor
+  // report a finish.
+  sim::Engine engine;
+  Cluster cluster(frontier_spec(), 1);
+  Instance instance("flux.0", engine, cluster, NodeRange{0, 1},
+                    frontier_calibration().flux, 7);
+  sim::Time started = -1.0;
+  std::vector<JobEventKind> after_start;
+  instance.on_event([&](const JobEvent& event) {
+    if (event.kind == JobEventKind::kStart) {
+      started = engine.now();
+      return;
+    }
+    if (started >= 0.0) after_start.push_back(event.kind);
+  });
+  instance.bootstrap([&] {
+    Job job;
+    job.id = "solo";
+    job.demand.cores = 56;
+    job.duration = 1000.0;
+    instance.submit(std::move(job));
+  });
+  engine.run(60.0);
+  ASSERT_GE(started, 0.0);
+  engine.run(started + 1000.0);  // fires the finish timer, not its event
+  EXPECT_TRUE(after_start.empty());
+  EXPECT_EQ(cluster.free_cores(NodeRange{0, 1}), 0);
+  instance.crash("power lost");
+  engine.run();
+  EXPECT_EQ(after_start, (std::vector<JobEventKind>{JobEventKind::kException,
+                                                    JobEventKind::kException}));
+  EXPECT_EQ(instance.jobs_completed(), 0u);
+  EXPECT_EQ(cluster.free_cores(NodeRange{0, 1}), 56);
+}
+
 // --------------------------------------------------------------- backend
 
 TEST(FluxBackend, ThroughputScalesWithNodeCount) {
@@ -326,6 +364,57 @@ TEST(FluxBackend, OversizedTaskFailsCleanly) {
   EXPECT_FALSE(last.success);
   EXPECT_NE(last.error.find("no healthy instance"), std::string::npos);
   EXPECT_EQ(fx.backend.inflight(), 0u);
+}
+
+// Submits `req` alone and reports its outcome; a task that is accepted
+// but can never be placed would leave the backend non-quiescent.
+platform::LaunchOutcome run_alone(Fixture& fx, platform::LaunchRequest req) {
+  platform::LaunchOutcome last;
+  int outcomes = 0;
+  fx.backend.on_task_complete([&](const platform::LaunchOutcome& outcome) {
+    last = outcome;
+    ++outcomes;
+  });
+  fx.backend.submit(std::move(req));
+  fx.engine.run();
+  EXPECT_EQ(outcomes, 1);
+  EXPECT_EQ(fx.backend.inflight(), 0u);
+  EXPECT_TRUE(fx.backend.quiescent());
+  return last;
+}
+
+TEST(FluxBackend, OversizedGpuTaskFailsCleanly) {
+  Fixture fx(4, 4);  // partitions of 1 node / 8 GPUs
+  auto loose = run_alone(fx, make_task(0, 10.0, 1, 20));
+  EXPECT_FALSE(loose.success);
+  EXPECT_NE(loose.error.find("no healthy instance"), std::string::npos);
+
+  // 16 GPUs fit a 2-node partition in total, but a single 56-core chunk
+  // must take all of them on one node.
+  Fixture wide(8, 4);
+  auto chunked = make_task(1, 10.0, 56, 16);
+  chunked.demand.cores_per_node = 56;
+  auto one_chunk = run_alone(wide, chunked);
+  EXPECT_FALSE(one_chunk.success);
+  EXPECT_NE(one_chunk.error.find("no healthy instance"), std::string::npos);
+  chunked.demand.cores = 112;  // two chunks of 8 GPUs each fit
+  chunked.id = "task.2";
+  EXPECT_TRUE(run_alone(wide, chunked).success);
+}
+
+TEST(FluxBackend, ChunkWiderThanANodeFailsCleanly) {
+  Fixture fx(8, 4);  // partitions of 2 nodes / 112 cores each
+  // 112 cores fit the partition, but in 64-core chunks no node holds one.
+  auto wide = make_task(0, 10.0, 112);
+  wide.demand.cores_per_node = 64;
+  auto outcome = run_alone(fx, wide);
+  EXPECT_FALSE(outcome.success);
+  EXPECT_NE(outcome.error.find("no healthy instance"), std::string::npos);
+  // A chunk is capped by the task's cores: 32 cores at 64 per node is one
+  // 32-core chunk, which fits.
+  auto narrow = make_task(1, 10.0, 32);
+  narrow.demand.cores_per_node = 64;
+  EXPECT_TRUE(run_alone(fx, narrow).success);
 }
 
 TEST(FluxBackend, InstanceCrashFailsItsTasksOnly) {

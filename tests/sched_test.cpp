@@ -3,16 +3,19 @@
 //  - queue policies (FIFO, priority-with-FIFO-tie-break, bounded backfill)
 //  - the FreeResourceIndex segment tree, including coherence under
 //    allocations made behind the placer's back (Cluster observer hook)
+//  - the placer's rejected-demand memo: exact, invalidated by any
+//    in-range node change, and invisible in stats and trace instants
 //  - behavior-identity: the indexed first-fit placer must produce
 //    bit-for-bit the same placements as the legacy linear scan over
-//    randomized allocate/release/demand sequences (golden traces depend
-//    on this).
+//    randomized allocate/release/demand sequences, each refused demand
+//    offered twice (golden traces depend on this).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "obs/tracer.hpp"
 #include "platform/cluster.hpp"
 #include "sched/free_index.hpp"
 #include "sched/placement_policy.hpp"
@@ -120,6 +123,21 @@ TEST(FreeResourceIndex, TracksDirectNodeAllocationsViaObserver) {
   EXPECT_EQ(index.find_any(2, 3, true, false), std::optional<NodeId>(2));
 }
 
+TEST(FreeResourceIndex, VersionCountsInRangeChangesOnly) {
+  Cluster cluster(frontier_spec(), 6);
+  FreeResourceIndex index(cluster, NodeRange{2, 3});  // nodes 2..4
+  EXPECT_EQ(index.version(), 0u);
+  auto outside = cluster.node(5).allocate(1, 0);
+  ASSERT_TRUE(outside.has_value());
+  cluster.node(5).release(*outside);
+  EXPECT_EQ(index.version(), 0u);
+  auto inside = cluster.node(2).allocate(1, 0);
+  ASSERT_TRUE(inside.has_value());
+  EXPECT_EQ(index.version(), 1u);
+  cluster.node(2).release(*inside);
+  EXPECT_EQ(index.version(), 2u);
+}
+
 TEST(FreeResourceIndex, FindAnyIsDisjunctive) {
   Cluster cluster(frontier_spec(), 4);
   FreeResourceIndex index(cluster, cluster.all_nodes());
@@ -221,18 +239,137 @@ TEST(Placer, CountsAttemptsAndRotatesCursor) {
   EXPECT_TRUE(placer.place({2 * 56, 0, 0}).has_value());
 }
 
+// ------------------------------------------------ rejected-demand memo
+
+// Counts every node change the cluster announces.
+struct ChangeCounter : Cluster::Observer {
+  explicit ChangeCounter(Cluster& observed) : cluster(observed) {
+    cluster.add_observer(this);
+  }
+  ~ChangeCounter() override { cluster.remove_observer(this); }
+  void node_changed(NodeId) override { ++changes; }
+  Cluster& cluster;
+  int changes = 0;
+};
+
+TEST(PlacerMemo, RepeatedRejectionStillCountsEveryCall) {
+  sim::Engine engine;
+  obs::Tracer tracer(engine, 16);
+  Cluster cluster(frontier_spec(), 2);
+  Placer placer(cluster, cluster.all_nodes());
+  placer.set_trace(obs::TraceHandle(&tracer), "p");
+  ChangeCounter counter(cluster);
+  const ResourceDemand nine_gpus{56, 9, 56};  // no node has 9 GPUs
+  for (std::uint64_t call = 1; call <= 3; ++call) {
+    EXPECT_FALSE(placer.place(nine_gpus).has_value());
+    EXPECT_EQ(placer.stats().attempts, call);
+    EXPECT_EQ(placer.stats().rejected, call);
+    EXPECT_EQ(placer.stats().memo_hits, call - 1);
+  }
+  EXPECT_EQ(counter.changes, 0);  // the refusal never touched a node
+  ASSERT_EQ(tracer.size(), 3u);
+  for (std::size_t i = 0; i < tracer.size(); ++i) {
+    EXPECT_EQ(tracer.at(i).type, obs::SpanType::kPlacementAttempt);
+    EXPECT_EQ(tracer.at(i).component, "p");
+    EXPECT_EQ(tracer.at(i).value, 0.0);
+  }
+  // A different demand misses the memo and replaces it.
+  EXPECT_TRUE(placer.place({1, 0, 0}).has_value());
+  EXPECT_EQ(placer.stats().memo_hits, 2u);
+}
+
+TEST(PlacerMemo, InRangeChangesBehindThePlacersBackInvalidateIt) {
+  Cluster cluster(frontier_spec(), 4);
+  Placer placer(cluster, NodeRange{0, 2}, {.rotate_cursor = false});
+  auto node0 = cluster.node(0).allocate(56, 0);
+  auto node1 = cluster.node(1).allocate(56, 0);
+  ASSERT_TRUE(node0 && node1);
+  const ResourceDemand one_core{1, 0, 0};
+  EXPECT_FALSE(placer.place(one_core).has_value());
+  EXPECT_EQ(placer.stats().memo_hits, 0u);
+
+  // Out of range: the memo stays valid.
+  auto outside = cluster.node(3).allocate(8, 1);
+  ASSERT_TRUE(outside.has_value());
+  cluster.node(3).release(*outside);
+  EXPECT_FALSE(placer.place(one_core).has_value());
+  EXPECT_EQ(placer.stats().memo_hits, 1u);
+
+  // In range, allocation: the memo is dropped and the policy runs again.
+  auto gpu = cluster.node(1).allocate(0, 1);
+  ASSERT_TRUE(gpu.has_value());
+  EXPECT_FALSE(placer.place(one_core).has_value());
+  EXPECT_EQ(placer.stats().memo_hits, 1u);
+
+  // In range, release: the equal demand is now placed on the freed node.
+  cluster.node(1).release(*node1);
+  auto placed = placer.place(one_core);
+  ASSERT_TRUE(placed.has_value());
+  ASSERT_EQ(placed->slices.size(), 1u);
+  EXPECT_EQ(placed->slices[0].node, 1);
+  EXPECT_EQ(placer.stats().memo_hits, 1u);
+  EXPECT_EQ(placer.stats().placed, 1u);
+}
+
+TEST(PlacerMemo, SetPolicyClearsIt) {
+  Cluster cluster(frontier_spec(), 2);
+  Placer placer(cluster, cluster.all_nodes());
+  const ResourceDemand nine_gpus{56, 9, 56};
+  EXPECT_FALSE(placer.place(nine_gpus).has_value());
+  EXPECT_FALSE(placer.place(nine_gpus).has_value());
+  EXPECT_EQ(placer.stats().memo_hits, 1u);
+  placer.set_policy(PlacementPolicyKind::kBestFit);
+  EXPECT_FALSE(placer.place(nine_gpus).has_value());  // best-fit ran
+  EXPECT_EQ(placer.stats().memo_hits, 1u);
+  EXPECT_FALSE(placer.place(nine_gpus).has_value());  // now memoised
+  EXPECT_EQ(placer.stats().memo_hits, 2u);
+}
+
+TEST(PlacerMemo, RolledBackMultiChunkProbeIsNotMemoised) {
+  // Node 1 is full, so a two-chunk demand takes node 0, fails on its last
+  // chunk and rolls back: the probe changed nodes (and, rotating, the
+  // cursor), so it must run again in full with the same transient
+  // allocate/release notifications.
+  Cluster cluster(frontier_spec(), 2);
+  ASSERT_TRUE(cluster.node(1).allocate(56, 0).has_value());
+  Placer placer(cluster, cluster.all_nodes());
+  ChangeCounter counter(cluster);
+  const ResourceDemand two_chunks{112, 0, 56};
+  EXPECT_FALSE(placer.place(two_chunks).has_value());
+  const int first_call = counter.changes;
+  EXPECT_EQ(first_call, 2);  // allocate + release on node 0
+  const NodeId cursor = placer.cursor();
+  EXPECT_FALSE(placer.place(two_chunks).has_value());
+  EXPECT_EQ(counter.changes, 2 * first_call);
+  EXPECT_EQ(placer.cursor(), cursor);
+  EXPECT_EQ(placer.stats().memo_hits, 0u);
+  EXPECT_EQ(placer.stats().rejected, 2u);
+}
+
+TEST(PlacerMemo, LinearScanModeHasNoMemo) {
+  Cluster cluster(frontier_spec(), 2);
+  Placer placer(cluster, cluster.all_nodes(), {.use_index = false});
+  const ResourceDemand nine_gpus{56, 9, 56};
+  EXPECT_FALSE(placer.place(nine_gpus).has_value());
+  EXPECT_FALSE(placer.place(nine_gpus).has_value());
+  EXPECT_EQ(placer.stats().memo_hits, 0u);
+  EXPECT_EQ(placer.stats().rejected, 2u);
+}
+
 // --------------------------------------------- indexed/legacy identity
 
 // Property: the indexed first-fit placer and the legacy linear scan,
 // driven by the same randomized allocate/release/demand sequence on
 // mirrored clusters, make identical decisions — same accept/reject, same
-// slices (node, core mask, GPU mask), same cursor.
+// slices (node, core mask, GPU mask), same cursor. Every refused demand is
+// offered a second time before the next step, so the placer's memo path
+// (taken when the refusal held nothing) is held to the same scan. Each
+// seed runs under both a rotating and a fixed scan origin.
 class PlacementIdentity : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(PlacementIdentity, IndexedPlacerMatchesLegacyLinearScan) {
-  sim::RngStream rng(GetParam());
+void expect_identity(std::uint64_t seed, bool rotate) {
+  sim::RngStream rng(seed);
   const int nodes = static_cast<int>(rng.uniform_int(1, 48));
-  const bool rotate = rng.bernoulli(0.5);
   Cluster legacy(frontier_spec(), nodes);
   Cluster mirrored(frontier_spec(), nodes);
   const auto range = legacy.all_nodes();
@@ -259,6 +396,13 @@ TEST_P(PlacementIdentity, IndexedPlacerMatchesLegacyLinearScan) {
       }
       if (!expected) {
         ++refused;
+        auto expected_again =
+            linear_try_place(legacy, range, demand, rotate ? &cursor : nullptr);
+        ASSERT_FALSE(expected_again.has_value()) << "step " << step;
+        ASSERT_FALSE(placer.place(demand).has_value()) << "step " << step;
+        if (rotate) {
+          ASSERT_EQ(placer.cursor(), cursor) << "step " << step;
+        }
         continue;
       }
       ++placed;
@@ -282,6 +426,17 @@ TEST_P(PlacementIdentity, IndexedPlacerMatchesLegacyLinearScan) {
   // The sequence must exercise both outcomes to mean anything.
   EXPECT_GT(placed, 0);
   EXPECT_GT(refused, 0);
+  EXPECT_EQ(placer.stats().attempts,
+            static_cast<std::uint64_t>(placed + 2 * refused));
+  EXPECT_GT(placer.stats().memo_hits, 0u);
+}
+
+TEST_P(PlacementIdentity, IndexedPlacerMatchesLegacyLinearScan) {
+  for (const bool rotate : {true, false}) {
+    SCOPED_TRACE(rotate ? "rotating origin" : "fixed origin");
+    expect_identity(GetParam(), rotate);
+    if (HasFatalFailure()) return;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlacementIdentity,
