@@ -221,13 +221,15 @@ void apply_crash(core::Agent& agent, const FaultSpec& fault) {
 // core is free so the leak lands even mid-burst.
 void inject_overcommit(core::Session& session, core::Pilot& pilot,
                        sim::Time start) {
+  // The scheduled events own the retry closure; it refers to itself
+  // weakly, so the last event to drop it frees it.
   auto leak = std::make_shared<std::function<void()>>();
-  *leak = [&session, &pilot, leak] {
+  *leak = [&session, &pilot, self = std::weak_ptr(leak)] {
     const auto range = pilot.allocation();
     for (platform::NodeId n = range.first; n < range.end(); ++n) {
       if (session.cluster().node(n).allocate(1, 0)) return;  // leaked
     }
-    session.engine().in(1.0, [leak] { (*leak)(); });
+    session.engine().in(1.0, [retry = self.lock()] { (*retry)(); });
   };
   session.engine().at(start, [leak] { (*leak)(); });
 }

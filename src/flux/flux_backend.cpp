@@ -63,7 +63,8 @@ void FluxBackend::bootstrap(ReadyHandler ready) {
 }
 
 bool FluxBackend::fits_partition(const platform::ResourceDemand& demand,
-                                 std::int64_t nodes) const {
+                                 const Instance& instance) const {
+  const std::int64_t nodes = instance.partition().count;
   if (demand.cores > nodes * cores_per_node_ ||
       demand.gpus > nodes * gpus_per_node_) {
     return false;
@@ -73,6 +74,12 @@ bool FluxBackend::fits_partition(const platform::ResourceDemand& demand,
   // min(cores, cores_per_node) cores and ceil(gpus / chunks) GPUs.
   const std::int64_t chunks = std::max<std::int64_t>(
       1, (demand.cores + demand.cores_per_node - 1) / demand.cores_per_node);
+  // First-fit puts every chunk on a node of its own; best-fit and
+  // gpu-pack may stack chunks on one node.
+  if (chunks > nodes &&
+      instance.placement_policy() == sched::PlacementPolicyKind::kFirstFit) {
+    return false;
+  }
   return std::min(demand.cores, demand.cores_per_node) <= cores_per_node_ &&
          (demand.gpus + chunks - 1) / chunks <= gpus_per_node_;
 }
@@ -93,7 +100,7 @@ int FluxBackend::pick_instance(const platform::ResourceDemand& demand,
     const int i = (base + step) % n;
     const auto& instance = *instances_[static_cast<size_t>(i)];
     if (!instance.healthy()) continue;
-    if (!fits_partition(demand, instance.partition().count)) continue;
+    if (!fits_partition(demand, instance)) continue;
     if (gang.empty()) rr_cursor_ = (i + 1) % n;
     return i;
   }

@@ -83,9 +83,9 @@ class FluxBackend : public platform::TaskBackend {
 
  private:
   void handle_event(const JobEvent& event);
-  // Whether an empty partition of `nodes` nodes could hold `demand`.
+  // Whether `instance`'s partition, empty, could hold `demand`.
   bool fits_partition(const platform::ResourceDemand& demand,
-                      std::int64_t nodes) const;
+                      const Instance& instance) const;
   int pick_instance(const platform::ResourceDemand& demand,
                     const std::string& gang) const;
   void fail_task(const std::string& id, const std::string& error);

@@ -80,6 +80,9 @@ class Instance {
   void set_placement_policy(sched::PlacementPolicyKind kind) {
     placer_.set_policy(kind);
   }
+  sched::PlacementPolicyKind placement_policy() const {
+    return placer_.policy_kind();
+  }
 
   // Attaches structured tracing (src/obs): bootstrap span, pending-queue
   // wait spans and placement-attempt instants, all under this instance's

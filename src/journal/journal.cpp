@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 
 namespace flotilla::journal {
 
@@ -207,6 +210,24 @@ bool strip_checksum(std::string_view line, std::string_view& body,
 }
 
 }  // namespace
+
+Writer::~Writer() { std::free(data_); }
+
+void Writer::append(const Record& record) {
+  line_.clear();
+  record.encode_to(line_);
+  if (line_.size() > capacity_ - size_) {
+    const std::size_t capacity =
+        std::max({size_ + line_.size(), 2 * capacity_, std::size_t{4096}});
+    void* const grown = std::realloc(data_, capacity);
+    if (grown == nullptr) throw std::bad_alloc();
+    data_ = static_cast<char*>(grown);
+    capacity_ = capacity;
+  }
+  std::memcpy(data_ + size_, line_.data(), line_.size());
+  size_ += line_.size();
+  ++records_;
+}
 
 ReadResult read(std::string_view bytes) {
   ReadResult out;

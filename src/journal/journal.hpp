@@ -21,18 +21,26 @@ namespace flotilla::journal {
 
 class Writer {
  public:
-  // Appends one record (encoded, checksummed, '\n'-terminated) in place.
-  // A record that raises leaves the buffer and the count unchanged.
-  void append(const Record& record) {
-    record.encode_to(bytes_);
-    ++records_;
-  }
+  Writer() = default;
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+  ~Writer();
 
-  const std::string& bytes() const { return bytes_; }
+  // Appends one record (encoded, checksummed, '\n'-terminated). A record
+  // that raises leaves the bytes and the count unchanged.
+  void append(const Record& record);
+
+  std::string_view bytes() const { return {data_, size_}; }
   std::size_t records() const { return records_; }
 
  private:
-  std::string bytes_;
+  // The bytes live in a malloc'd block grown by realloc, which glibc
+  // serves for large blocks with mremap, so growth does not copy the
+  // journal. Each record is encoded into the reused `line_` first.
+  char* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+  std::string line_;
   std::size_t records_ = 0;
 };
 

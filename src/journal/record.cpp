@@ -1,8 +1,11 @@
 #include "journal/record.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 
 #include "util/error.hpp"
 
@@ -15,108 +18,191 @@ namespace {
 // cut short.
 using TimeBuffer = std::array<char, 64>;
 
+// Times below this magnitude are printed by exact integer arithmetic; the
+// rest (and non-finite values) go through std::to_chars.
+constexpr double kIntegerTimeLimit = 0x1p33;
+
+using Uint128 = unsigned __int128;
+
 // Fixed notation with 9 fractional digits is the journal's canonical time
-// form: std::to_chars(fixed, 9) prints exactly what printf's %.9f prints,
-// the precision keeps the bytes stable across runs, and re-encoding a
-// decoded record reproduces the same text (decimal -> nearest double ->
-// same decimal). Empty if `t` is not finite or its text does not fit.
+// form: it prints exactly what printf's %.9f prints, the precision keeps
+// the bytes stable across runs, and re-encoding a decoded record
+// reproduces the same text (decimal -> nearest double -> same decimal).
+// Empty if `t` is not finite or its text does not fit.
+//
+// For |t| < 2^33, t = m * 2^-s with a 53-bit mantissa m and s >= 20, so
+// |t| * 10^9 = m * 10^9 / 2^s with m * 10^9 < 2^83: one 128-bit product,
+// a shift rounded half to even (as %.9f rounds an exact binary value),
+// and the result, below 2^63, splits into the integer part and nine
+// fractional digits. Larger magnitudes keep std::to_chars(fixed, 9).
 std::string_view format_time(sim::Time t, TimeBuffer& buf) {
-  if (!std::isfinite(t)) return {};
-  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(),
-                                       t, std::chars_format::fixed, 9);
-  if (ec != std::errc{}) return {};
-  return {buf.data(), static_cast<std::size_t>(end - buf.data())};
+  if (!(std::fabs(t) < kIntegerTimeLimit)) {
+    if (!std::isfinite(t)) return {};
+    const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(),
+                                         t, std::chars_format::fixed, 9);
+    if (ec != std::errc{}) return {};
+    return {buf.data(), static_cast<std::size_t>(end - buf.data())};
+  }
+  const auto bits = std::bit_cast<std::uint64_t>(t);
+  const int biased = static_cast<int>((bits >> 52) & 0x7ffu);
+  constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
+  const std::uint64_t mantissa =
+      (bits & (kHidden - 1)) | (biased != 0 ? kHidden : 0);
+  const int shift = 1075 - std::max(biased, 1);  // subnormals: 1074
+  std::uint64_t nanos = 0;
+  if (shift < 128) {
+    const Uint128 scaled = static_cast<Uint128>(mantissa) * 1000000000u;
+    nanos = static_cast<std::uint64_t>(scaled >> shift);
+    const Uint128 rest = scaled & ((Uint128{1} << shift) - 1);
+    const Uint128 half = Uint128{1} << (shift - 1);
+    if (rest > half || (rest == half && (nanos & 1u) != 0)) ++nanos;
+  }
+  char* p = buf.data();
+  if (std::signbit(t)) *p++ = '-';
+  p = std::to_chars(p, buf.data() + buf.size(), nanos / 1000000000u).ptr;
+  *p++ = '.';
+  std::uint64_t fraction = nanos % 1000000000u;
+  for (int i = 9; i-- > 0; fraction /= 10) {
+    p[i] = static_cast<char>('0' + fraction % 10);
+  }
+  return {buf.data(), static_cast<std::size_t>(p + 9 - buf.data())};
 }
 
-void put_key(std::string& line, std::string_view key) {
-  line += '|';
-  line += key;
-  line += '=';
+// The value of a time text "[-]D.DDDDDDDDD" whose 10-18 digits form an
+// integer N < 2^53: N and 10^9 are exact doubles and IEEE division rounds
+// correctly, so double(N) / 1e9 is the nearest double to the decimal,
+// exactly what std::from_chars returns. False for any other text.
+bool exact_time_value(std::string_view text, double& value) {
+  const bool negative = !text.empty() && text.front() == '-';
+  const std::string_view digits = text.substr(negative ? 1 : 0);
+  if (digits.size() < 11 || digits.size() > 19) return false;
+  const std::size_t point = digits.size() - 10;
+  if (digits[point] != '.') return false;
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < digits.size(); ++i) {
+    if (i == point) continue;
+    const char c = digits[i];
+    if (c < '0' || c > '9') return false;
+    n = n * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  if (n >= (std::uint64_t{1} << 53)) return false;
+  value = static_cast<double>(n) / 1e9;
+  if (negative) value = -value;
+  return true;
 }
 
-void put(std::string& line, std::string_view key, std::string_view value) {
-  for (const char c : value) {
-    if (c == '|' || c == '\n') {
-      util::raise("journal: field '", key, "' contains a record delimiter: ",
-                  value);
+// One line, assembled in two passes: every field is checked and formatted
+// into the pieces first, then the output grows once and the pieces are
+// copied, so a field that raises leaves the output untouched.
+class Line {
+ public:
+  void piece(std::string_view text) {
+    pieces_[count_++] = text;
+    size_ += text.size();
+  }
+
+  // `key` is the field's "|name=" prefix.
+  void text_field(std::string_view key, std::string_view value) {
+    for (const char c : value) {
+      if (c == '|' || c == '\n') {
+        util::raise("journal: field '", key.substr(1, key.size() - 2),
+                    "' contains a record delimiter: ", value);
+      }
     }
+    piece(key);
+    piece(value);
   }
-  put_key(line, key);
-  line += value;
-}
 
-template <typename Int>
-void put_int(std::string& line, std::string_view key, Int value) {
-  std::array<char, 24> buf;  // 20 digits and a sign at most
-  const char* const end =
-      std::to_chars(buf.data(), buf.data() + buf.size(), value).ptr;
-  put_key(line, key);
-  line.append(buf.data(), static_cast<std::size_t>(end - buf.data()));
-}
-
-void put_time(std::string& line, sim::Time t) {
-  TimeBuffer buf;
-  const std::string_view text = format_time(t, buf);
-  if (text.empty()) {
-    util::raise("journal: time ", t, " is not finite or does not fit a ",
-                buf.size(), "-byte field");
+  template <typename Int>
+  void int_field(std::string_view key, Int value) {
+    auto& buf = ints_[ints_used_++];
+    const char* const end =
+        std::to_chars(buf.data(), buf.data() + buf.size(), value).ptr;
+    piece(key);
+    piece({buf.data(), static_cast<std::size_t>(end - buf.data())});
   }
-  put_key(line, "t");
-  line += text;
-}
+
+  void time_field(sim::Time t) {
+    const std::string_view value = format_time(t, time_);
+    if (value.empty()) {
+      util::raise("journal: time ", t, " is not finite or does not fit a ",
+                  time_.size(), "-byte field");
+    }
+    piece("|t=");
+    piece(value);
+  }
+
+  // Appends the pieces, the "|h=" checksum field and the '\n'.
+  void append_to(std::string& out) const {
+    constexpr std::string_view kMarker = "|h=";
+    const std::size_t start = out.size();
+    out.resize(start + size_ + kMarker.size() + 9);
+    char* p = out.data() + start;
+    for (std::size_t i = 0; i < count_; ++i) {
+      std::memcpy(p, pieces_[i].data(), pieces_[i].size());
+      p += pieces_[i].size();
+    }
+    std::memcpy(p, kMarker.data(), kMarker.size());
+    p += kMarker.size();
+    // Eight lowercase hex digits, as %08x.
+    constexpr std::string_view kDigits = "0123456789abcdef";
+    std::uint32_t sum = fnv1a32({out.data() + start, size_ + kMarker.size()});
+    for (int i = 8; i-- > 0; sum >>= 4) p[i] = kDigits[sum & 0xfu];
+    p[8] = '\n';
+  }
+
+ private:
+  // A transition, the widest record, has 13 pieces (the tag, then a key
+  // and a value per field); an end record has 4 integers.
+  std::array<std::string_view, 13> pieces_;
+  std::size_t count_ = 0;
+  std::size_t size_ = 0;
+  std::array<std::array<char, 24>, 4> ints_;  // 20 digits and a sign at most
+  std::size_t ints_used_ = 0;
+  TimeBuffer time_;
+};
 
 // The tag and the type's fields, in canonical order.
-void put_fields(const Record& r, std::string& line) {
-  line += to_string(r.type);
+void put_fields(const Record& r, Line& line) {
+  line.piece(to_string(r.type));
   switch (r.type) {
     case RecordType::kHeader:
-      put_int(line, "v", 1);
-      put_int(line, "seed", r.seed);
-      put(line, "spec", r.spec);
+      line.int_field("|v=", 1);
+      line.int_field("|seed=", r.seed);
+      line.text_field("|spec=", r.spec);
       break;
     case RecordType::kReady:
-      put_time(line, r.time);
+      line.time_field(r.time);
       break;
     case RecordType::kTransition:
-      put_time(line, r.time);
-      put(line, "uid", r.uid);
-      put(line, "from", r.from);
-      put(line, "to", r.to);
-      put(line, "backend", r.backend);
-      put_int(line, "attempt", r.attempt);
+      line.time_field(r.time);
+      line.text_field("|uid=", r.uid);
+      line.text_field("|from=", r.from);
+      line.text_field("|to=", r.to);
+      line.text_field("|backend=", r.backend);
+      line.int_field("|attempt=", r.attempt);
       break;
     case RecordType::kAlloc:
-      put_time(line, r.time);
-      put_int(line, "node", r.node);
-      put_int(line, "cores", r.cores);
-      put_int(line, "gpus", r.gpus);
+      line.time_field(r.time);
+      line.int_field("|node=", r.node);
+      line.int_field("|cores=", r.cores);
+      line.int_field("|gpus=", r.gpus);
       break;
     case RecordType::kFault:
-      put_time(line, r.time);
-      put(line, "kind", r.kind);
-      put(line, "backend", r.backend);
-      put_int(line, "index", r.index);
-      put_int(line, "count", r.count);
+      line.time_field(r.time);
+      line.text_field("|kind=", r.kind);
+      line.text_field("|backend=", r.backend);
+      line.int_field("|index=", r.index);
+      line.int_field("|count=", r.count);
       break;
     case RecordType::kEnd:
-      put_time(line, r.time);
-      put_int(line, "done", r.done);
-      put_int(line, "failed", r.failed);
-      put_int(line, "canceled", r.canceled);
-      put_int(line, "events", r.events);
+      line.time_field(r.time);
+      line.int_field("|done=", r.done);
+      line.int_field("|failed=", r.failed);
+      line.int_field("|canceled=", r.canceled);
+      line.int_field("|events=", r.events);
       break;
   }
-}
-
-// Eight lowercase hex digits, as %08x.
-void put_hex32(std::string& line, std::uint32_t value) {
-  constexpr std::string_view kDigits = "0123456789abcdef";
-  std::array<char, 8> hex;
-  for (auto it = hex.rbegin(); it != hex.rend(); ++it) {
-    *it = kDigits[value & 0xfu];
-    value >>= 4;
-  }
-  line.append(hex.data(), hex.size());
 }
 
 }  // namespace
@@ -149,16 +235,9 @@ std::uint32_t fnv1a32(std::string_view text) {
 }
 
 void Record::encode_to(std::string& out) const {
-  const std::size_t start = out.size();
-  try {
-    put_fields(*this, out);
-    out += "|h=";
-    put_hex32(out, fnv1a32(std::string_view(out).substr(start)));
-    out += '\n';
-  } catch (...) {
-    out.resize(start);
-    throw;
-  }
+  Line line;
+  put_fields(*this, line);
+  line.append_to(out);
 }
 
 std::string Record::encode() const {
@@ -168,11 +247,13 @@ std::string Record::encode() const {
 }
 
 bool parse_time(std::string_view text, sim::Time& out) {
-  const char* const last = text.data() + text.size();
   double value = 0.0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), last, value, std::chars_format::fixed);
-  if (ec != std::errc{} || end != last) return false;
+  if (!exact_time_value(text, value)) {
+    const char* const last = text.data() + text.size();
+    const auto [end, ec] =
+        std::from_chars(text.data(), last, value, std::chars_format::fixed);
+    if (ec != std::errc{} || end != last) return false;
+  }
   TimeBuffer buf;
   if (format_time(value, buf) != text) return false;  // also refuses inf/nan
   out = value;

@@ -89,8 +89,7 @@ void Scribe::emit(const Record& record) {
   const std::size_t start = writer_.bytes().size();
   writer_.append(record);
   if (!diverged_ && cursor_ < prefix_records_) {
-    const std::string_view got =
-        std::string_view(writer_.bytes()).substr(start);
+    const std::string_view got = writer_.bytes().substr(start);
     const std::size_t end = prefix_.find('\n', prefix_pos_) + 1;
     const std::string_view expected =
         std::string_view(prefix_).substr(prefix_pos_, end - prefix_pos_);

@@ -77,6 +77,7 @@ class Placer {
   platform::NodeId cursor() const { return cursor_; }
   const PlacerStats& stats() const { return stats_; }
   PlacementPolicy& policy() { return *policy_; }
+  PlacementPolicyKind policy_kind() const { return options_.policy; }
 
   // Swaps the placement policy in place (cursor, index and stats are
   // kept; the rejected-demand memo is dropped, since another policy may

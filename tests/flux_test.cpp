@@ -417,6 +417,25 @@ TEST(FluxBackend, ChunkWiderThanANodeFailsCleanly) {
   EXPECT_TRUE(run_alone(fx, narrow).success);
 }
 
+TEST(FluxBackend, MoreChunksThanNodesFailsCleanlyUnderFirstFit) {
+  Fixture fx(4, 4);  // partitions of 1 node
+  // Two 8-core chunks: first-fit puts each chunk on a node of its own.
+  auto chunked = make_task(0, 10.0, 16);
+  chunked.demand.cores_per_node = 8;
+  auto outcome = run_alone(fx, chunked);
+  EXPECT_FALSE(outcome.success);
+  EXPECT_NE(outcome.error.find("no healthy instance"), std::string::npos);
+
+  // Best-fit may stack both chunks on the one node.
+  Fixture stacked(4, 4);
+  for (int i = 0; i < stacked.backend.partitions(); ++i) {
+    stacked.backend.instance(i).set_placement_policy(
+        sched::PlacementPolicyKind::kBestFit);
+  }
+  chunked.id = "task.1";
+  EXPECT_TRUE(run_alone(stacked, chunked).success);
+}
+
 TEST(FluxBackend, InstanceCrashFailsItsTasksOnly) {
   Fixture fx(4, 2);
   int ok = 0, failed = 0;

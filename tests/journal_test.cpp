@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <charconv>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -68,7 +72,7 @@ std::string random_journal(std::uint64_t seed, int records) {
   sim::RngStream rng(seed, "journal.test");
   Writer writer;
   for (int i = 0; i < records; ++i) writer.append(random_record(rng));
-  return writer.bytes();
+  return std::string(writer.bytes());
 }
 
 // ------------------------------------------------------------------ codec
@@ -134,24 +138,246 @@ TEST(Codec, EncodeToAppendsExactlyEncode) {
   }
 }
 
+// The time text of `t` as encode_to writes it, via a reused line.
+std::string_view encoded_time(double t, std::string& line) {
+  line.clear();
+  ready_record(t).encode_to(line);
+  constexpr std::string_view kPrefix = "ready|t=";
+  return std::string_view(line).substr(
+      kPrefix.size(), line.find("|h=") - kPrefix.size());
+}
+
 TEST(Codec, TimesPrintAsPrintfFixedNine) {
-  // encode_to formats with std::to_chars(fixed, 9); it must print exactly
-  // what %.9f prints, or journals written before and after would differ.
+  // encode_to must print exactly what %.9f prints, or journals written
+  // before and after would differ. Times below 2^33 are printed by integer
+  // arithmetic and the rest by std::to_chars; over a million seeded
+  // values both must agree with %.9f, rounding ties at the ninth digit
+  // (odd multiples of 2^-10) to even like printf does.
   sim::RngStream rng(12, "journal.test");
-  std::vector<double> times = {0.0,   -0.0, 1.0 / 3.0, 1e-10,
-                               1e9 + 0.5, 2.5e-9, 0.0000000005, 123456.789};
-  for (int i = 0; i < 500; ++i) {
-    times.push_back(rng.uniform(0.0, 1e6));
-    times.push_back(rng.uniform(0.0, 1.0));
-    times.push_back(rng.exponential(3600.0));
+  const double limit = std::ldexp(1.0, 33);
+  std::vector<double> times = {
+      0.0,
+      -0.0,
+      1.0 / 3.0,
+      1e-10,
+      1e9 + 0.5,
+      0.0000000005,
+      123456.789,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      limit,
+      -limit,
+      std::nextafter(limit, 0.0),
+      std::nextafter(limit, 2 * limit),
+      0.5e-9,
+      1.5e-9,
+      2.5e-9,
+      0.9999999995,
+      1e50,
+  };
+  constexpr int kRounds = 100000;
+  for (int i = 0; i < kRounds; ++i) {
+    const double sign = rng.bernoulli(0.25) ? -1.0 : 1.0;
+    // Ties at the ninth digit, with and without an integer part.
+    const auto odd = static_cast<double>(2 * rng.uniform_int(0, 1 << 20) + 1);
+    times.push_back(sign * odd / 1024.0);
+    times.push_back(sign * (static_cast<double>(rng.uniform_int(0, 1 << 22)) +
+                            odd / 1024.0));
+    // Other exact binary fractions.
+    times.push_back(sign * std::ldexp(static_cast<double>(
+                                          rng.uniform_int(1, 1ll << 40)),
+                                      -static_cast<int>(rng.uniform_int(
+                                          10, 80))));
+    // Subnormals: a random mantissa under a zero exponent.
+    times.push_back(sign * std::bit_cast<double>(rng.next_u64() >> 12));
+    // Both sides of the integer-path limit.
+    const double near = limit * rng.uniform(0.999, 1.001);
+    times.push_back(sign * near);
+    times.push_back(sign * std::nextafter(limit, near));
+    // Run-length times, and any magnitude up to 1e50.
+    times.push_back(sign * rng.uniform(0.0, 1e6));
+    times.push_back(sign * rng.uniform(0.0, 1.0));
+    times.push_back(sign * rng.exponential(3600.0));
+    times.push_back(sign * std::pow(10.0, rng.uniform(-20.0, 50.0)));
+    times.push_back(sign * std::bit_cast<double>(
+                               rng.next_u64() % 0x4a00000000000000ull));
   }
+  ASSERT_GE(times.size(), 1000000u);
+  std::string line;
+  std::size_t mismatches = 0;
   for (const double t : times) {
     char printed[512];
     std::snprintf(printed, sizeof printed, "%.9f", t);
-    const std::string line = ready_record(t).encode();
-    EXPECT_EQ(line.substr(0, line.find("|h=")),
-              std::string("ready|t=") + printed);
+    if (encoded_time(t, line) != printed && ++mismatches <= 10) {
+      ADD_FAILURE() << std::hexfloat << t << ": " << encoded_time(t, line)
+                    << " != " << printed;
+    }
   }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// The reference parse_time: the nearest double by std::from_chars, kept
+// only if %.9f prints it back as exactly `text`.
+bool reference_parse_time(const std::string& text, double& out) {
+  const char* const last = text.data() + text.size();
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), last, value, std::chars_format::fixed);
+  if (ec != std::errc{} || end != last || !std::isfinite(value)) return false;
+  char printed[512];
+  std::snprintf(printed, sizeof printed, "%.9f", value);
+  if (text != printed) return false;
+  out = value;
+  return true;
+}
+
+TEST(Codec, ParseTimeMatchesFromCharsBitForBit) {
+  // parse_time reads texts whose digits form an integer N < 2^53 as
+  // double(N) / 1e9; that must be the double std::from_chars returns, and
+  // every other text must be accepted or refused exactly as before.
+  sim::RngStream rng(14, "journal.test");
+  const auto text_of = [](std::uint64_t n, bool negative) {
+    char text[64];
+    std::snprintf(text, sizeof text, "%s%" PRIu64 ".%09" PRIu64,
+                  negative ? "-" : "", n / 1000000000u, n % 1000000000u);
+    return std::string(text);
+  };
+  std::vector<std::string> texts = {"0.000000000", "-0.000000000",
+                                    "00.000000000", "1.50000000",
+                                    "1.5000000000", "-.500000000",
+                                    ".500000000", "1.500000000x"};
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 53;
+  for (std::uint64_t n = kLimit - 2000; n < kLimit + 2000; ++n) {
+    texts.push_back(text_of(n, false));
+    texts.push_back(text_of(n, true));
+  }
+  // Canonical texts of the doubles nearest 2^53 / 1e9, whose digits land
+  // on both sides of N = 2^53.
+  double t = 0x1p53 / 1e9;
+  for (int i = 0; i < 2000; ++i) t = std::nextafter(t, 0.0);
+  for (int i = 0; i < 4000; ++i, t = std::nextafter(t, 1e300)) {
+    char printed[64];
+    std::snprintf(printed, sizeof printed, "%.9f", t);
+    texts.emplace_back(printed);
+  }
+  for (int i = 0; i < 100000; ++i) {
+    // 16 to 18 digits, and any shorter N.
+    const auto digits = rng.uniform_int(16, 18);
+    std::uint64_t n = rng.next_u64() % 1000000000000000000ull;
+    for (auto d = digits; d < 18; ++d) n /= 10;
+    texts.push_back(text_of(n, rng.bernoulli(0.5)));
+    texts.push_back(text_of(rng.next_u64() % kLimit, false));
+    char printed[512];
+    std::snprintf(printed, sizeof printed, "%.9f",
+                  std::pow(10.0, rng.uniform(-10.0, 20.0)));
+    texts.emplace_back(printed);
+  }
+  std::size_t accepted = 0;
+  for (const std::string& text : texts) {
+    double want = 0.0;
+    double got = 0.0;
+    const bool ok = reference_parse_time(text, want);
+    ASSERT_EQ(parse_time(text, got), ok) << text;
+    if (!ok) continue;
+    ++accepted;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << text;
+  }
+  EXPECT_GT(accepted, texts.size() / 4);
+  EXPECT_LT(accepted, texts.size());
+}
+
+// The line encode_to must write for `r`, built by snprintf.
+std::string printf_line(const Record& r) {
+  char body[1024];
+  switch (r.type) {
+    case RecordType::kHeader:
+      std::snprintf(body, sizeof body, "journal|v=1|seed=%" PRIu64 "|spec=%s",
+                    r.seed, r.spec.c_str());
+      break;
+    case RecordType::kReady:
+      std::snprintf(body, sizeof body, "ready|t=%.9f", r.time);
+      break;
+    case RecordType::kTransition:
+      std::snprintf(body, sizeof body,
+                    "task|t=%.9f|uid=%s|from=%s|to=%s|backend=%s"
+                    "|attempt=%" PRId64,
+                    r.time, r.uid.c_str(), r.from.c_str(), r.to.c_str(),
+                    r.backend.c_str(), r.attempt);
+      break;
+    case RecordType::kAlloc:
+      std::snprintf(body, sizeof body,
+                    "alloc|t=%.9f|node=%" PRId64 "|cores=%" PRId64
+                    "|gpus=%" PRId64,
+                    r.time, r.node, r.cores, r.gpus);
+      break;
+    case RecordType::kFault:
+      std::snprintf(body, sizeof body,
+                    "fault|t=%.9f|kind=%s|backend=%s|index=%" PRId64
+                    "|count=%" PRId64,
+                    r.time, r.kind.c_str(), r.backend.c_str(), r.index,
+                    r.count);
+      break;
+    case RecordType::kEnd:
+      std::snprintf(body, sizeof body,
+                    "end|t=%.9f|done=%" PRId64 "|failed=%" PRId64
+                    "|canceled=%" PRId64 "|events=%" PRIu64,
+                    r.time, r.done, r.failed, r.canceled, r.events);
+      break;
+  }
+  const std::string marked = std::string(body) + "|h=";
+  char sum[16];
+  std::snprintf(sum, sizeof sum, "%08x", fnv1a32(marked));
+  return marked + sum + "\n";
+}
+
+TEST(Codec, EncodeToMatchesAPrintfBuiltLine) {
+  sim::RngStream rng(15, "journal.test");
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<Record> records = {
+      header_record(std::numeric_limits<std::uint64_t>::max(), ""),
+      transition_record(-0.0, "", "", "", "", kMin),
+      alloc_record(1e-300, kMin, kMax, -1),
+      fault_record(1e40, "crash", "", kMax, kMin),
+      end_record(8589934591.999999999, kMin, kMax, 0,
+                 std::numeric_limits<std::uint64_t>::max()),
+  };
+  std::array<int, 6> seen{};
+  for (int i = 0; i < 20000; ++i) {
+    Record r = random_record(rng);
+    if (rng.bernoulli(0.2)) r.time = -r.time;
+    ++seen[static_cast<std::size_t>(r.type)];
+    records.push_back(std::move(r));
+  }
+  for (const int count : seen) EXPECT_GT(count, 0);
+  std::string line;
+  for (const Record& r : records) {
+    line.clear();
+    r.encode_to(line);
+    ASSERT_EQ(line, printf_line(r));
+  }
+}
+
+TEST(Writer, BytesEqualTheConcatenatedEncodesAcrossReallocations) {
+  // About 2 MB of records: the buffer grows many times from empty.
+  sim::RngStream rng(16, "journal.test");
+  Writer writer;
+  EXPECT_TRUE(writer.bytes().empty());
+  std::string expected;
+  for (int i = 1; i <= 20000; ++i) {
+    const Record record = random_record(rng);
+    writer.append(record);
+    expected += record.encode();
+    if (i % 997 == 0 || i < 64) {
+      ASSERT_EQ(writer.bytes(), expected) << "after record " << i;
+    }
+  }
+  EXPECT_EQ(writer.bytes(), expected);
+  EXPECT_EQ(writer.records(), 20000u);
+  EXPECT_GT(expected.size(), std::size_t{1} << 20);
 }
 
 TEST(Codec, TimeThatDoesNotFitItsFieldRaises) {
@@ -173,7 +399,7 @@ TEST(Codec, RaisingRecordLeavesTheWriterUnchanged) {
   Writer writer;
   writer.append(header_record(1, "seed=1"));
   writer.append(ready_record(0.5));
-  const std::string before = writer.bytes();
+  const std::string before = std::string(writer.bytes());
   const std::vector<Record> bad = {
       transition_record(1.0, "task.0", "NEW", "DONE", "flux|x", 0),
       transition_record(1.0, "task.0", "NEW", "DONE\n", "flux", 0),
@@ -317,7 +543,7 @@ TEST(RecoveryManager, RaisesOnCorruptionWithTheRecordIndex) {
   writer.append(header_record(42, "seed=42"));
   writer.append(ready_record(1.0));
   writer.append(end_record(2.0, 1, 0, 0, 10));
-  auto bytes = writer.bytes();
+  auto bytes = std::string(writer.bytes());
   const auto pos = bytes.find('\n') + 2;  // inside record #1
   bytes[pos] = bytes[pos] == 'x' ? 'y' : 'x';
   try {

@@ -5,8 +5,8 @@
 // On a single-shard engine, once the calendar and server slot vectors have
 // grown to their working size, a Server round trip whose `done` fits
 // std::function's inline buffer, and an invoke_on that does not hop, must
-// not touch the heap at all. A journal Writer encodes records in place, so
-// it allocates only when its buffer grows.
+// not touch the heap at all. A journal Writer encodes each record into a
+// reused line, so it allocates only when that line or its buffer grows.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -140,8 +140,9 @@ TEST(JournalAlloc, WriterAppendAllocatesOnlyToGrowItsBuffer) {
     }
   });
   EXPECT_EQ(writer.records(), static_cast<std::size_t>(kRecords));
-  // Geometric growth to ~1 MB takes about 17 doublings.
-  EXPECT_LE(allocations, 32u) << "over " << kRecords << " records";
+  // The buffer grows by realloc, which this counter does not see; the
+  // reused scratch line allocates once, on the first record.
+  EXPECT_LE(allocations, 1u) << "over " << kRecords << " records";
   EXPECT_TRUE(read(writer.bytes()).intact());
 }
 

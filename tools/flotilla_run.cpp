@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
         std::cerr << "cannot open --journal '" << journal_path << "'\n";
         return 2;
       }
-      const auto& bytes = scribe->writer().bytes();
+      const std::string_view bytes = scribe->writer().bytes();
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
       out.close();
       if (!out) {
