@@ -58,7 +58,6 @@ const char* const kScopedDirs[] = {
 const char* const kAllowlist[] = {
     "dragon/function_executor",
     "local/process_pool",
-    "util/logging",
 };
 
 bool is_ident(const Token& t) { return t.kind == TokenKind::kIdentifier; }

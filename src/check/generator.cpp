@@ -164,20 +164,6 @@ ScenarioSpec generate_scenario(sim::RngStream& rng,
     spec.faults.push_back(fault);
   }
 
-  // Engine sharding: half the scenarios run the full stack on a
-  // partitioned calendar (bit-identical to shards=1 by construction), and
-  // the threads dimension feeds the engine-level storm oracle in
-  // run_with_oracles() plus — for clean specs — the bare full-stack
-  // threaded run checked by the thread-invariance oracle.
-  if (rng.bernoulli(0.5)) {
-    static const int kShardCounts[] = {2, 3, 4};
-    spec.shards = kShardCounts[rng.uniform_int(0, 2)];
-  }
-  if (rng.bernoulli(0.5)) {
-    static const int kThreadCounts[] = {2, 4};
-    spec.threads = kThreadCounts[rng.uniform_int(0, 1)];
-  }
-
   // Service-mode ingress (docs/ingress.md): about 30% of the scenarios
   // (all of them under force_ingress) route the task budget through
   // IngressService as an arrival process with admission control. The

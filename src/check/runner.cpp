@@ -1,7 +1,6 @@
 #include "check/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -18,7 +17,6 @@
 #include "prrte/dvm_backend.hpp"
 #include "sched/queue.hpp"
 #include "sim/random.hpp"
-#include "sim/storm.hpp"
 #include "util/error.hpp"
 #include "util/strfmt.hpp"
 #include "workloads/heterogeneous.hpp"
@@ -253,27 +251,11 @@ std::string header_spec_line(const ScenarioSpec& spec) {
 
 void run_impl(const ScenarioSpec& spec, const RunOptions& opts,
               RunResult& result) {
-  // Bare threaded mode: the engine drains shard rounds on a worker pool,
-  // so the between-events observers stay off — the invariant monitor's
-  // post-event hook and the journal scribe both assume they see the one
-  // global event order. run_with_oracles compensates by comparing the
-  // bare run's terminal state against the monitored serial run.
-  const bool threaded = opts.engine_threads > 1;
-  if (threaded &&
-      (opts.journal || opts.crash_at > 0 || opts.recovery != nullptr)) {
-    util::raise(
-        "run: the journal scribe observes the event order between events "
-        "and requires engine_threads == 1");
-  }
   core::Session session(platform::frontier_spec(), spec.nodes, spec.seed,
-                        platform::frontier_calibration(), spec.shards,
-                        opts.engine_threads);
-  std::unique_ptr<InvariantMonitor> monitor;
-  if (!threaded) {
-    InvariantMonitor::Options mopts;
-    mopts.coherence_stride = opts.coherence_stride;
-    monitor = std::make_unique<InvariantMonitor>(session, mopts);
-  }
+                        platform::frontier_calibration());
+  InvariantMonitor::Options mopts;
+  mopts.coherence_stride = opts.coherence_stride;
+  InvariantMonitor monitor(session, mopts);
 
   // Durable journal: the scribe attaches before the pilot exists so
   // bootstrap-time allocations are journaled too. In recovery mode it
@@ -324,10 +306,8 @@ void run_impl(const ScenarioSpec& spec, const RunOptions& opts,
   }
   result.ready = ready;
   if (!ready) {
-    if (monitor) {
-      monitor->finish();
-      result.violations = monitor->violations();
-    }
+    monitor.finish();
+    result.violations = monitor.violations();
     result.violations.push_back(Violation{
         "launch", util::cat("pilot never became ready: ", ready_error),
         session.now()});
@@ -337,9 +317,9 @@ void run_impl(const ScenarioSpec& spec, const RunOptions& opts,
   if (scribe) scribe->record_ready();
 
   core::TaskManager tmgr(session, pilot.agent());
-  if (monitor) monitor->watch(tmgr);
+  monitor.watch(tmgr);
   if (scribe) scribe->attach(tmgr);
-  if (monitor) monitor->watch_backends(pilot.agent());
+  monitor.watch_backends(pilot.agent());
   tmgr.on_complete([&result](const core::Task& task) {
     switch (task.state()) {
       case core::TaskState::kDone:
@@ -419,22 +399,8 @@ void run_impl(const ScenarioSpec& spec, const RunOptions& opts,
           : 200000 + 5000ull * static_cast<std::uint64_t>(
                                    std::max(0, spec.tasks));
   bool livelocked = false;
-  if (threaded) {
-    // Parallel drain: run() owns the loop, so the event budget is counted
-    // from the post-event hook. The hook fires on worker threads — a
-    // relaxed atomic is enough for a monotone counter — and stop() ends
-    // the run after the round that crossed the budget.
-    std::atomic<std::uint64_t> mt_events{result.events};
-    sim::Engine& engine = session.engine();
-    engine.set_post_event_hook([&engine, &mt_events, budget] {
-      if (mt_events.fetch_add(1, std::memory_order_relaxed) + 1 > budget) {
-        engine.stop();
-      }
-    });
-    engine.run();
-    engine.set_post_event_hook({});
-    result.events = mt_events.load(std::memory_order_relaxed);
-    if (result.events > budget) {
+  while (session.engine().step()) {
+    if (++result.events > budget) {
       livelocked = true;
       result.violations.push_back(Violation{
           "livelock",
@@ -442,23 +408,11 @@ void run_impl(const ScenarioSpec& spec, const RunOptions& opts,
                     " events with ", session.engine().pending(),
                     " still pending"),
           session.now()});
+      break;
     }
-  } else {
-    while (session.engine().step()) {
-      if (++result.events > budget) {
-        livelocked = true;
-        result.violations.push_back(Violation{
-            "livelock",
-            util::cat("event budget exhausted after ", result.events,
-                      " events with ", session.engine().pending(),
-                      " still pending"),
-            session.now()});
-        break;
-      }
-      if (crashed_now()) {
-        result.crashed = true;
-        break;
-      }
+    if (crashed_now()) {
+      result.crashed = true;
+      break;
     }
   }
   result.makespan = session.now() - ready_time;
@@ -476,11 +430,9 @@ void run_impl(const ScenarioSpec& spec, const RunOptions& opts,
                        result.events);
   }
 
-  if (monitor) {
-    monitor->finish();
-    for (const auto& v : monitor->violations()) {
-      result.violations.push_back(v);
-    }
+  monitor.finish();
+  for (const auto& v : monitor.violations()) {
+    result.violations.push_back(v);
   }
 
   // Ingress oracles: every offer got exactly one verdict (conservation
@@ -709,81 +661,6 @@ RunResult run_with_oracles(const ScenarioSpec& spec, const RunOptions& opts) {
                   " vs ", second.events, ", journal bytes ",
                   first.journal.size(), " vs ", second.journal.size()),
         0.0});
-  }
-  // Sharded full-stack runs must schedule identically to the classic single
-  // calendar: the shard split only partitions the data structure, never the
-  // event order (docs/sharding.md). Raw event counts legitimately differ —
-  // cross-shard hops are mailbox events that do not exist at shards=1 — so
-  // the oracle compares the trace/task fingerprints, which capture every
-  // observable timestamp and outcome.
-  if (spec.shards > 1) {
-    ScenarioSpec serial = spec;
-    serial.shards = 1;
-    const RunResult unsharded = run_scenario(serial, opts);
-    if (first.fingerprint != unsharded.fingerprint) {
-      first.violations.push_back(Violation{
-          "shard-invariance",
-          util::cat("shards=", spec.shards, " diverged from shards=1: ",
-                    "fingerprint ", first.fingerprint, " vs ",
-                    unsharded.fingerprint),
-          0.0});
-    }
-  }
-  // The threads dimension, first on the storm kernel (pure engine, no
-  // stack): the parallel drain must fingerprint-match the serial
-  // single-shard reference.
-  if (spec.threads > 1) {
-    sim::StormConfig storm;
-    storm.seed = spec.seed;
-    sim::StormConfig reference = storm;  // shards=1, threads=1
-    storm.shards = std::max(spec.shards, spec.threads);
-    storm.threads = spec.threads;
-    const auto parallel = sim::run_storm(storm);
-    const auto serial = sim::run_storm(reference);
-    if (parallel.fingerprint != serial.fingerprint ||
-        parallel.events != serial.events) {
-      first.violations.push_back(Violation{
-          "storm-determinism",
-          util::cat("storm(shards=", storm.shards, ",threads=", storm.threads,
-                    ") diverged from serial: fingerprint ",
-                    parallel.fingerprint, " vs ", serial.fingerprint,
-                    ", events ", parallel.events, " vs ", serial.events),
-          0.0});
-    }
-  }
-  // Then on the full stack: a bare threaded run (engine_threads =
-  // spec.threads, shards raised to cover the pool) must reach the same
-  // terminal state as the monitored serial run — the confinement proofs
-  // (docs/sharding.md) promise the parallel drain is observably
-  // identical, and this oracle holds them to it. Bug-injection and
-  // journaled specs stay serial: their whole point is the between-events
-  // observers that bare mode turns off. Raw event counts are not
-  // compared — the shard count legitimately changes the number of
-  // cross-shard hop events.
-  if (spec.threads > 1 && spec.bug == "none" && spec.crash_at == 0 &&
-      !opts.journal && opts.recovery == nullptr) {
-    ScenarioSpec mt = spec;
-    mt.shards = std::max(spec.shards, spec.threads);
-    RunOptions bare = opts;
-    bare.engine_threads = spec.threads;
-    const RunResult threaded = run_scenario(mt, bare);
-    for (const auto& v : threaded.violations) first.violations.push_back(v);
-    if (threaded.fingerprint != first.fingerprint ||
-        threaded.done != first.done || threaded.failed != first.failed ||
-        threaded.canceled != first.canceled ||
-        threaded.makespan != first.makespan) {
-      first.violations.push_back(Violation{
-          "thread-invariance",
-          util::cat("full stack (shards=", mt.shards, ",engine_threads=",
-                    spec.threads, ") diverged from the monitored serial run: ",
-                    "fingerprint ", threaded.fingerprint, " vs ",
-                    first.fingerprint, ", done ", threaded.done, " vs ",
-                    first.done, ", failed ", threaded.failed, " vs ",
-                    first.failed, ", canceled ", threaded.canceled, " vs ",
-                    first.canceled, ", makespan ", threaded.makespan, " vs ",
-                    first.makespan),
-          0.0});
-    }
   }
   // Crash/recover oracle (docs/recovery.md): crash the controller at the
   // spec's record index, recover from the surviving journal prefix, and

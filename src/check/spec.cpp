@@ -141,9 +141,6 @@ std::string ScenarioSpec::to_string() const {
   std::string out;
   out += "seed=" + std::to_string(seed);
   out += ";nodes=" + std::to_string(nodes);
-  // Emitted only when non-default so pre-sharding spec lines stay stable.
-  if (shards != 1) out += ";shards=" + std::to_string(shards);
-  if (threads != 1) out += ";threads=" + std::to_string(threads);
   out += ";backends=";
   for (std::size_t i = 0; i < backends.size(); ++i) {
     if (i) out += ',';
@@ -194,10 +191,6 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
       spec.seed = parse_u64(value, "seed");
     } else if (key == "nodes") {
       spec.nodes = static_cast<int>(parse_int(value, "nodes"));
-    } else if (key == "shards") {
-      spec.shards = static_cast<int>(parse_int(value, "shards"));
-    } else if (key == "threads") {
-      spec.threads = static_cast<int>(parse_int(value, "threads"));
     } else if (key == "backends") {
       for (const auto& token : split(value, ',')) {
         spec.backends.push_back(parse_backend(token));

@@ -35,16 +35,6 @@ struct ScenarioSpec {
   std::uint64_t seed = 42;
   int nodes = 4;
 
-  // Engine sharding (docs/sharding.md). `shards` partitions the Session
-  // engine's event calendar — the run must be bit-identical to shards=1.
-  // `threads` drives the threads dimension in run_with_oracles(): the
-  // engine-level storm oracle, plus — for clean specs — a bare full-stack
-  // run at engine_threads = threads that must reach the same terminal
-  // state as the monitored serial run (the confinement proofs in
-  // analyze/confined.txt are what make that legal).
-  int shards = 1;
-  int threads = 1;
-
   std::vector<core::BackendSpec> backends{{"srun"}};
 
   // Workload shape: "null" | "sleep" | "hetero" | "impeccable".

@@ -44,19 +44,11 @@ void Agent::add_backend(std::unique_ptr<platform::TaskBackend> backend,
     slot.waitlist.set_trace(obs_trace_,
                             util::cat("agent.", name, ".waitlist"));
   }
-  // Backend callbacks fire on the backend's shard; the agent pipeline
-  // (scheduler, collector, waitlists) lives on the control shard, so hop
-  // there. With a single-shard engine invoke_on calls straight through —
-  // the historical path, bit-identical.
-  slot.backend->on_task_start([this](const std::string& uid) {
-    session_.engine().invoke_on(sim::kControlShard,
-                                [this, uid] { handle_start(uid); });
-  });
+  slot.backend->on_task_start(
+      [this](const std::string& uid) { handle_start(uid); });
   slot.backend->on_task_complete(
       [this](const platform::LaunchOutcome& outcome) {
-        session_.engine().invoke_on(
-            sim::kControlShard,
-            [this, outcome] { handle_completion(outcome); });
+        handle_completion(outcome);
       });
   backends_.push_back(std::move(slot));
 }

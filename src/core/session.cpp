@@ -1,17 +1,22 @@
 #include "core/session.hpp"
 
+#include "util/error.hpp"
+
 namespace flotilla::core {
 
 Session::Session(platform::PlatformSpec spec, int num_nodes,
                  std::uint64_t seed, platform::Calibration calibration,
                  int engine_shards, int engine_threads)
-    : engine_(sim::Engine::Config{engine_shards, engine_threads,
-                                  /*lookahead=*/0.0}),
-      cluster_(std::move(spec), num_nodes),
+    : cluster_(std::move(spec), num_nodes),
       calibration_(calibration),
       trace_(engine_),
       seed_(seed),
-      uid_(ids_.next("session", 4)) {}
+      uid_(ids_.next("session", 4)) {
+  FLOT_CHECK(engine_shards == 1, "session: engine_shards must be 1, got ",
+             engine_shards);
+  FLOT_CHECK(engine_threads == 1, "session: engine_threads must be 1, got ",
+             engine_threads);
+}
 
 obs::Tracer& Session::enable_tracing(std::size_t capacity) {
   if (!tracer_) {

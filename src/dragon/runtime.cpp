@@ -20,7 +20,6 @@ Runtime::Runtime(sim::Engine& engine, platform::Cluster& cluster,
       placer_(cluster, span) {
   FLOT_CHECK(span.count >= 1, "dragon runtime needs at least one node");
   FLOT_CHECK(span.end() <= cluster.size(), "span exceeds cluster");
-  shard_ = engine_.affinity("dragon");
 }
 
 void Runtime::bootstrap(std::function<void()> ready) {
@@ -35,9 +34,7 @@ void Runtime::bootstrap(std::function<void()> ready) {
   const double duration = rng_.lognormal_mean_cv(
       cal_.bootstrap_base + cal_.bootstrap_per_node * span_.count,
       cal_.jitter_cv / 2);
-  // Targeted at this runtime's shard so the dispatcher loop and every
-  // task lifecycle event stay shard-local.
-  engine_.in(shard_, duration, [this, ready = std::move(ready)] {
+  engine_.in(duration, [this, ready = std::move(ready)] {
     ready_ = true;
     bootstrap_duration_ = engine_.now() - bootstrap_requested_;
     obs_trace_.end(obs::SpanType::kBootstrap, trace_component_, "");
@@ -46,14 +43,6 @@ void Runtime::bootstrap(std::function<void()> ready) {
 }
 
 void Runtime::execute(platform::LaunchRequest request) {
-  // Called from the backend on the control shard; the dispatcher runs on
-  // this runtime's shard (a direct call on a single-shard engine).
-  engine_.invoke_on(shard_, [this, request = std::move(request)]() mutable {
-    accept(std::move(request));
-  });
-}
-
-void Runtime::accept(platform::LaunchRequest request) {
   FLOT_CHECK(ready_, "execute on dragon runtime before bootstrap");
   auto task = std::make_shared<Task>();
   task->request = std::move(request);
@@ -167,10 +156,6 @@ void Runtime::emit_finish(std::shared_ptr<Task> task, bool success,
 }
 
 void Runtime::crash(const std::string& reason) {
-  engine_.invoke_on(shard_, [this, reason] { crash_on_shard(reason); });
-}
-
-void Runtime::crash_on_shard(const std::string& reason) {
   if (!healthy_) return;
   healthy_ = false;
   for (auto& entry : pending_.drain()) {

@@ -65,12 +65,6 @@ class Runtime {
   bool healthy() const { return healthy_; }
   platform::NodeRange span() const { return span_; }
 
-  // Engine shard this runtime's dispatcher/worker events run on
-  // (docs/sharding.md). Defaults to affinity("dragon"); a multi-runtime
-  // backend assigns each runtime its own key before bootstrap.
-  sim::ShardId shard() const { return shard_; }
-  void set_shard(sim::ShardId shard) { shard_ = shard; }
-
   std::size_t pending() const { return pending_.size(); }
   std::size_t running() const { return active_.size(); }
   std::uint64_t completed() const { return completed_; }
@@ -105,8 +99,6 @@ class Runtime {
   };
 
   double infra_share() const;
-  void accept(platform::LaunchRequest request);  // shard-local execute half
-  void crash_on_shard(const std::string& reason);
   void dispatch(std::shared_ptr<Task> task);
   void start_task(std::shared_ptr<Task> task);
   void finish_task(std::shared_ptr<Task> task);
@@ -116,7 +108,6 @@ class Runtime {
                    const std::string& note);
 
   sim::Engine& engine_;
-  sim::ShardId shard_ = sim::kControlShard;
   platform::Cluster& cluster_;
   platform::NodeRange span_;
   platform::DragonCalibration cal_;

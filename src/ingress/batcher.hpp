@@ -10,9 +10,8 @@
 // whose calibrated cost is `tmgr_batch_base + n * tmgr_batch_per_task`
 // instead of n times the serial `tmgr_task_cost`.
 //
-// Timer events are engine events on the calling shard (ingress runs on
-// the control shard), so flush order is deterministic for any shard
-// count.
+// Timer events are ordinary engine events, so flush order is
+// deterministic.
 #pragma once
 
 #include <cstddef>

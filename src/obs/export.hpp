@@ -18,11 +18,4 @@ namespace flotilla::obs {
 void write_chrome_trace(const Tracer& tracer, std::ostream& os);
 void write_prof(const Tracer& tracer, std::ostream& os);
 
-// Sharded variants: merge the per-shard lanes (deterministically, by
-// (time, shard, insertion) — see TraceLanes::merge_into) and export the
-// combined timeline as one coherent file. Byte-identical for any
-// shards x threads combination of the producing engine.
-void write_chrome_trace(TraceLanes& lanes, std::ostream& os);
-void write_prof(TraceLanes& lanes, std::ostream& os);
-
 }  // namespace flotilla::obs

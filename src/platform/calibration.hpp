@@ -195,28 +195,4 @@ struct Calibration {
 // Default profile fitted to the paper's Frontier measurements.
 inline Calibration frontier_calibration() { return Calibration{}; }
 
-// Conservative lookahead window for the sharded engine (docs/sharding.md):
-// the smallest calibrated latency of any cross-component control-plane
-// hop. No interaction between two components — and therefore no
-// cross-shard event — can take effect sooner than this, so shards may
-// safely drain [T, T + conservative_lookahead) concurrently without a
-// delivery ever landing inside an already-drained window. The full stack
-// currently runs the engine at lookahead 0 (same-timestamp batch drain,
-// which the monotonic-time invariant check requires); this derivation is
-// what a positive-window deployment would use, and platform_test pins it
-// against the calibration constants.
-inline double conservative_lookahead(const Calibration& c) {
-  double min_hop = c.core.tmgr_task_cost;
-  const double hops[] = {
-      c.core.collect_cost,      c.core.agent_sched_cost,
-      c.flux.ingest_cost,       c.flux.event_cost,
-      c.dragon.func_start,      c.dragon.dispatch_func,
-      c.slurm.ctl_complete_cost, c.prrte.head_relay_cost,
-  };
-  for (const double hop : hops) {
-    if (hop < min_hop) min_hop = hop;
-  }
-  return min_hop;
-}
-
 }  // namespace flotilla::platform

@@ -21,7 +21,6 @@ DvmBackend::DvmBackend(sim::Engine& engine, platform::Cluster& cluster,
       rng_(seed, "prrte"),
       head_(engine, 1) {
   FLOT_CHECK(span.count >= 1, "dvm needs at least one node");
-  shard_ = engine.affinity(name_);
   daemons_.reserve(static_cast<std::size_t>(span.count));
   for (int i = 0; i < span.count; ++i) {
     daemons_.push_back(std::make_unique<sim::Server>(engine, 1));
@@ -40,9 +39,7 @@ void DvmBackend::bootstrap(ReadyHandler ready) {
   const double duration = rng_.lognormal_mean_cv(
       cal_.dvm_startup_base + cal_.dvm_startup_per_node * span_.count,
       cal_.jitter_cv / 2);
-  // Targeted at this backend's shard so the head-daemon relay and the
-  // per-node spawn chains all stay shard-local.
-  engine_.in(shard_, duration, [this, ready = std::move(ready)] {
+  engine_.in(duration, [this, ready = std::move(ready)] {
     ready_ = true;
     healthy_ = true;
     bootstrap_duration_ = engine_.now() - bootstrap_requested_;
@@ -52,14 +49,6 @@ void DvmBackend::bootstrap(ReadyHandler ready) {
 }
 
 void DvmBackend::submit(platform::LaunchRequest request) {
-  // Submissions arrive on the agent's control shard; the head daemon and
-  // rank spawns run on this backend's shard. Direct call when single-shard.
-  engine_.invoke_on(shard_, [this, request = std::move(request)]() mutable {
-    accept(std::move(request));
-  });
-}
-
-void DvmBackend::accept(platform::LaunchRequest request) {
   FLOT_CHECK(ready_, "submit to dvm before bootstrap");
   FLOT_CHECK(request.preplaced,
              "prrte has no scheduler: requests must be preplaced by the "
@@ -144,10 +133,6 @@ void DvmBackend::finish(std::shared_ptr<Task> task, bool success,
 }
 
 void DvmBackend::crash(const std::string& reason) {
-  engine_.invoke_on(shard_, [this, reason] { crash_on_shard(reason); });
-}
-
-void DvmBackend::crash_on_shard(const std::string& reason) {
   if (!healthy_) return;
   healthy_ = false;
   auto victims = std::move(active_);

@@ -1,4 +1,4 @@
-// EventCalendar: one shard's slice of the simulation's event set.
+// EventCalendar: the simulation's pending-event set.
 //
 // A calendar owns a (time, seq) min-heap and a slot vector that holds the
 // pending callbacks. A heap entry names its event's slot; each slot records
@@ -9,14 +9,8 @@
 // match the event that later reuses its slot, so a stale cancel is a no-op.
 //
 // The sequence numbers that break ties at equal times are assigned by the
-// owner (sim::Engine): globally in single-shard mode (bit-identical to the
-// historical engine) and per shard in sharded mode, so every calendar's pop
-// order is deterministic without any cross-shard coordination.
-//
-// Threading contract: a calendar has exactly one owner at any instant —
-// the engine's coordinator between drain rounds, or the one worker
-// draining this shard during a round. It is never locked; the sharded
-// engine's round barrier is what publishes calendar state between owners.
+// owner (sim::Engine) in insertion order, so the pop order is
+// deterministic.
 #pragma once
 
 #include <cstdint>

@@ -118,6 +118,24 @@ TaskDescription null_task(std::int64_t cores = 1) {
   return desc;
 }
 
+// The engine has one calendar and one thread: any other shard or thread
+// count is refused, naming the parameter.
+TEST(Session, RejectsEngineShardsOrThreadsOtherThanOne) {
+  const auto message = [](int shards, int threads) -> std::string {
+    try {
+      Session session(frontier_spec(), 4, 42,
+                      platform::frontier_calibration(), shards, threads);
+    } catch (const util::Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(message(1, 1), "");
+  EXPECT_NE(message(4, 1).find("engine_shards"), std::string::npos);
+  EXPECT_NE(message(1, 4).find("engine_threads"), std::string::npos);
+  EXPECT_NE(message(0, 1).find("engine_shards"), std::string::npos);
+}
+
 TEST(Pilot, LaunchesWithFluxBackend) {
   PilotFixture fx({.nodes = 4, .backends = {{"flux", 2}}});
   EXPECT_EQ(fx.pilot->allocation().count, 4);

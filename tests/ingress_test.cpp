@@ -101,11 +101,8 @@ struct IngressFixture {
   std::unique_ptr<core::TaskManager> tmgr;
   std::unique_ptr<IngressService> svc;
 
-  explicit IngressFixture(int nodes = 4, std::uint64_t seed = 42,
-                          int shards = 1)
-      : session(frontier_spec(), nodes, seed,
-                platform::frontier_calibration(), shards),
-        pmgr(session) {
+  explicit IngressFixture(int nodes = 4, std::uint64_t seed = 42)
+      : session(frontier_spec(), nodes, seed), pmgr(session) {
     core::PilotDescription pd;
     pd.nodes = nodes;
     pd.backends = {{"dragon"}};
@@ -252,16 +249,13 @@ TEST(IngressService, ClosedLoopRejectedClientsRetryWithFreshOffers) {
   EXPECT_TRUE(fx.svc->quiescent());
 }
 
-// Deterministic backpressure-release ordering under a partitioned engine:
-// the accepted-uid sequence and the ingress counters must be identical
-// for shards=1 and shards>1 (the defer timers and batch flushes all live
-// on the control shard).
-TEST(IngressService, DeferReleaseOrderingIsShardInvariant) {
+// Deterministic backpressure-release ordering: two same-seed runs must
+// accept the same uid sequence after the same number of offers.
+TEST(IngressService, DeferReleaseOrderingIsDeterministic) {
   std::vector<std::string> uid_sequences[2];
   std::uint64_t offered[2] = {0, 0};
-  const int shard_counts[2] = {1, 3};
   for (int i = 0; i < 2; ++i) {
-    IngressFixture fx(4, 42, shard_counts[i]);
+    IngressFixture fx(4, 42);
     IngressConfig config;
     config.clients = 50;
     config.arrival.kind = ArrivalKind::kPoisson;

@@ -120,7 +120,7 @@ TEST(LintTest, ExplicitFileBypassesScope) {
 // The allowlisted execution layer is never checked, even when named
 // directly.
 TEST(LintTest, AllowlistHoldsForExplicitFiles) {
-  const RunResult result = run_lint(fixture("src/util/logging.cpp"));
+  const RunResult result = run_lint(fixture("src/local/process_pool.cpp"));
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_TRUE(result.lines.empty());
 }

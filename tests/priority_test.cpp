@@ -1,14 +1,10 @@
-// Tests for priority (urgency) scheduling, Poisson arrivals, and the file
-// log sink.
+// Tests for priority (urgency) scheduling and Poisson arrivals.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/flotilla.hpp"
-#include "util/logging.hpp"
 #include "workloads/synthetic.hpp"
 #include "workloads/trace_replay.hpp"
 
@@ -129,36 +125,6 @@ TEST(PoissonArrivals, ReplayDrivesOpenArrivalRun) {
   EXPECT_EQ(metrics.tasks_done(), 800u);
   // Open system below capacity: launch rate tracks the arrival rate.
   EXPECT_NEAR(metrics.window_throughput(), 40.0, 6.0);
-}
-
-// -------------------------------------------------------------- file sink
-
-TEST(FileSink, AppendsAndFlushesLines) {
-  const std::string path = "filesink_test.log";
-  std::remove(path.c_str());
-  {
-    auto sink = std::make_shared<util::FileSink>(path);
-    ASSERT_TRUE(sink->ok());
-    util::LogRegistry::instance().set_sink(sink);
-    util::LogRegistry::instance().set_level(util::LogLevel::kInfo);
-    util::Logger log("agent");
-    log.info("pilot ", "p.0", " active");
-    log.warn("backend lost");
-    util::LogRegistry::instance().set_sink(nullptr);
-  }
-  std::ifstream in(path);
-  std::string line1, line2;
-  ASSERT_TRUE(std::getline(in, line1));
-  ASSERT_TRUE(std::getline(in, line2));
-  EXPECT_EQ(line1, "[INFO] agent: pilot p.0 active");
-  EXPECT_EQ(line2, "[WARN] agent: backend lost");
-  std::remove(path.c_str());
-}
-
-TEST(FileSink, UnwritablePathReportsNotOk) {
-  util::FileSink sink("/nonexistent-dir-xyz/log.txt");
-  EXPECT_FALSE(sink.ok());
-  sink.write("dropped");  // no crash
 }
 
 }  // namespace

@@ -2,14 +2,12 @@
 // global operator new with a counting one, which is why it is its own test
 // executable: no other test runs under the counter.
 //
-// On a single-shard engine, once the calendar and server slot vectors have
-// grown to their working size, a Server round trip whose `done` fits
-// std::function's inline buffer, and an invoke_on that does not hop, must
-// not touch the heap at all. A journal Writer encodes each record into a
+// Once the calendar and server slot vectors have grown to their working
+// size, a Server round trip whose `done` fits std::function's inline
+// buffer must not touch the heap at all. A journal Writer encodes each record into a
 // reused line, so it allocates only when that line or its buffer grows.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -90,32 +88,6 @@ TEST(SimAlloc, ServerRoundTripAllocatesNothingInSteadyState) {
   EXPECT_GE(events, 10000u);
   EXPECT_EQ(allocations, 0u) << "over " << events << " events";
   EXPECT_TRUE(server.idle());
-}
-
-TEST(SimAlloc, InvokeOnWithoutHopAllocatesNothing) {
-  Engine engine;
-  // Larger than std::function's inline buffer: wrapping this callable in
-  // a Callback would allocate.
-  std::array<std::uint64_t, 8> payload{};
-  payload[7] = 7;
-  std::uint64_t seen = 0;
-  const auto call = [payload, &seen] { seen += payload[7]; };
-  static_assert(sizeof(call) > 16);
-
-  // Outside any event context.
-  EXPECT_EQ(allocations_during([&] { engine.invoke_on(kControlShard, call); }),
-            0u);
-  EXPECT_EQ(seen, 7u);
-
-  // From inside an event on the same (only) shard.
-  std::uint64_t inside = ~0ull;
-  engine.at(1.0, [&] {
-    inside = allocations_during(
-        [&] { engine.invoke_on(kControlShard, call); });
-  });
-  engine.run();
-  EXPECT_EQ(inside, 0u);
-  EXPECT_EQ(seen, 14u);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/id_registry.hpp"
-#include "util/logging.hpp"
 #include "util/strfmt.hpp"
 
 namespace flotilla::util {
@@ -100,28 +99,6 @@ TEST(IdRegistry, ResetClearsCounters) {
   registry.next("x");
   registry.reset();
   EXPECT_EQ(registry.next("x"), "x.000000");
-}
-
-TEST(Logging, RespectsLevelThreshold) {
-  auto sink = std::make_shared<CaptureSink>();
-  LogRegistry::instance().set_sink(sink);
-  LogRegistry::instance().set_level(LogLevel::kInfo);
-  Logger log("test");
-  log.debug("hidden");
-  log.info("visible ", 1);
-  log.error("boom");
-  LogRegistry::instance().set_sink(nullptr);
-
-  const auto lines = sink->lines();
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "[INFO] test: visible 1");
-  EXPECT_EQ(lines[1], "[ERROR] test: boom");
-}
-
-TEST(Logging, LevelRoundTrip) {
-  EXPECT_EQ(log_level_from_string("trace"), LogLevel::kTrace);
-  EXPECT_EQ(log_level_from_string("error"), LogLevel::kError);
-  EXPECT_EQ(to_string(LogLevel::kWarn), "WARN");
 }
 
 TEST(Error, FlotCheckThrowsWithContext) {

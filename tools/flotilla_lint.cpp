@@ -18,9 +18,9 @@
 // src/{sim,core,slurm,flux,prrte,platform,workloads,sched,check,obs,
 // analyze}/ and src/dragon/*_backend.* — because the real-threaded
 // execution layer legitimately touches the host. Files on the explicit
-// allowlist (dragon/function_executor, local/process_pool, util/logging)
-// are never checked, even when named directly. A single finding can be
-// waived in place with
+// allowlist (dragon/function_executor, local/process_pool) are never
+// checked, even when named directly. A single finding can be waived in
+// place with
 //   // FLOTILLA_LINT_ALLOW(rule-id): reason
 // on the offending line; the reason is mandatory.
 //

@@ -8,9 +8,11 @@
 //                  --workload dummy --tasks 14336 --duration 180
 //   $ flotilla-run --workload impeccable --backend srun --nodes 256
 //   $ flotilla-run --workload trace --trace-file workload.csv
-//   $ flotilla-run --backend hybrid --engine-shards 4 --engine-threads 4
+//   $ flotilla-run --backend hybrid --clients 1000 --admit defer
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "analytics/session_report.hpp"
@@ -22,11 +24,28 @@
 #include "obs/report.hpp"
 #include "platform/spec_config.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "workloads/impeccable.hpp"
 #include "workloads/synthetic.hpp"
 #include "workloads/trace_replay.hpp"
 
 using namespace flotilla;
+
+namespace {
+
+// Reads an integer option, rejecting values below `min` or beyond int
+// before any narrowing cast can wrap them.
+int int_option(const util::CliParser& cli, const std::string& name,
+               int min) {
+  const long value = cli.get_int(name);
+  if (value < min || value > std::numeric_limits<int>::max()) {
+    util::raise("option --", name, " must be an integer in [", min, ", ",
+                std::numeric_limits<int>::max(), "], got ", cli.get(name));
+  }
+  return static_cast<int>(value);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   util::CliParser cli(
@@ -57,15 +76,6 @@ int main(int argc, char** argv) {
       .option("prof", "", "write an RP-profiler-style .prof CSV to this path")
       .option("trace-capacity", "0",
               "trace ring-buffer capacity in records (0 = default 1M)")
-      .option("engine-shards", "1",
-              "partition the engine's event calendar (docs/sharding.md); "
-              "the schedule is identical for any shard count")
-      .option("engine-threads", "1",
-              "worker threads draining shard rounds concurrently — safe "
-              "under the machine-checked confinement proofs "
-              "(docs/correctness.md#confinement-proofs); incompatible with "
-              "--journal, --recover, --trace and --prof (event-order "
-              "observers)")
       .option("journal", "",
               "record a durable event journal to this path (docs/recovery.md)")
       .option("recover", "",
@@ -77,7 +87,16 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    const auto nodes = static_cast<int>(cli.get_int("nodes"));
+    const int nodes = int_option(cli, "nodes", 1);
+    int tasks = int_option(cli, "tasks", 0);
+    const int cores = int_option(cli, "cores", 1);
+    const int clients = int_option(cli, "clients", 0);
+    const int trace_capacity = int_option(cli, "trace-capacity", 0);
+    const double duration = cli.get_double("duration");
+    if (!std::isfinite(duration) || duration < 0.0) {
+      util::raise("option --duration must be a finite number >= 0, got ",
+                  cli.get("duration"));
+    }
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     auto spec = platform::spec_by_name(cli.get("platform"));
     auto calibration = platform::frontier_calibration();
@@ -96,36 +115,15 @@ int main(int argc, char** argv) {
       }
       calibration = platform::calibration_from_config(config);
     }
-    const auto engine_shards = static_cast<int>(cli.get_int("engine-shards"));
-    const auto engine_threads =
-        static_cast<int>(cli.get_int("engine-threads"));
     const auto trace_path = cli.get("trace");
     const auto prof_path = cli.get("prof");
     const bool tracing = !trace_path.empty() || !prof_path.empty();
-    if (engine_threads > 1) {
-      // The scribe and the tracer's progress probe observe the run from
-      // between events; under a threaded drain they would race with the
-      // worker pool. The confinement proofs cover the simulation state,
-      // not these host-side observers.
-      if (!cli.get("journal").empty() || !cli.get("recover").empty()) {
-        std::cerr << "--engine-threads > 1 is incompatible with "
-                     "--journal/--recover\n";
-        return 2;
-      }
-      if (tracing) {
-        std::cerr << "--engine-threads > 1 is incompatible with "
-                     "--trace/--prof\n";
-        return 2;
-      }
-    }
-    core::Session session(spec, nodes, seed, calibration, engine_shards,
-                          engine_threads);
+    core::Session session(spec, nodes, seed, calibration);
     if (tracing) {
       // Must happen before pilots/task managers exist: components capture
       // the trace handle at construction.
-      const auto capacity = cli.get_int("trace-capacity");
-      session.enable_tracing(capacity > 0
-                                 ? static_cast<std::size_t>(capacity)
+      session.enable_tracing(trace_capacity > 0
+                                 ? static_cast<std::size_t>(trace_capacity)
                                  : obs::Tracer::kDefaultCapacity);
     }
     // Durable journal / recovery (docs/recovery.md). The header records
@@ -222,17 +220,13 @@ int main(int argc, char** argv) {
     tmgr.on_complete([](const core::Task&) {});
 
     const auto workload = cli.get("workload");
-    auto tasks = static_cast<int>(cli.get_int("tasks"));
     if (tasks == 0) tasks = workloads::paper_task_count(nodes);
-    const double duration = cli.get_double("duration");
-    const auto cores = cli.get_int("cores");
 
     // Service-mode ingress (docs/ingress.md): --clients > 0 drives the
     // synthetic workload through an arrival process with admission
     // control instead of one up-front submit. Workflow-shaped workloads
     // (impeccable, trace) schedule their own submissions and are
     // incompatible with an arrival process.
-    const auto clients = static_cast<int>(cli.get_int("clients"));
     std::unique_ptr<ingress::IngressService> ingress_svc;
     if (clients > 0) {
       if (workload != "null" && workload != "dummy" && workload != "mixed") {
