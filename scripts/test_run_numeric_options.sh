@@ -28,6 +28,8 @@ expect_rejected tasks --tasks -5
 expect_rejected tasks --tasks 5000000000
 expect_rejected nodes --nodes 5000000000
 expect_rejected nodes --nodes 0
+expect_rejected partitions --partitions 0
+expect_rejected partitions --partitions 5000000000
 expect_rejected cores --cores -1
 expect_rejected cores --cores 0
 expect_rejected duration --workload dummy --tasks 4 --duration -5
@@ -37,7 +39,7 @@ expect_rejected clients --tasks 4 --clients -3
 expect_rejected trace-capacity --tasks 4 --trace-capacity -3
 
 # Sanity: the boundary values are accepted.
-"$RUN" --nodes 1 --tasks 0 --cores 1 --duration 0 --clients 0 \
+"$RUN" --nodes 1 --partitions 1 --tasks 0 --cores 1 --duration 0 --clients 0 \
   --trace-capacity 0 --workload dummy >"$TMP/stdout" 2>"$TMP/stderr" \
   || fail "boundary values: expected exit 0: $(cat "$TMP/stderr")"
 

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -88,7 +89,7 @@ long CliParser::get_int(const std::string& name) const {
   const auto value = get(name);
   char* end = nullptr;
   const long result = std::strtol(value.c_str(), &end, 10);
-  FLOT_CHECK(end && *end == '\0', "option --", name,
+  FLOT_CHECK(!value.empty() && end && *end == '\0', "option --", name,
              " is not an integer: ", value);
   return result;
 }
@@ -97,9 +98,28 @@ double CliParser::get_double(const std::string& name) const {
   const auto value = get(name);
   char* end = nullptr;
   const double result = std::strtod(value.c_str(), &end);
-  FLOT_CHECK(end && *end == '\0', "option --", name,
+  FLOT_CHECK(!value.empty() && end && *end == '\0', "option --", name,
              " is not a number: ", value);
   return result;
+}
+
+int CliParser::get_int_in(const std::string& name, int min, int max) const {
+  const long value = get_int(name);
+  if (value < min || value > max) {
+    raise("option --", name, " must be an integer in [", min, ", ", max,
+          "], got ", get(name));
+  }
+  return static_cast<int>(value);
+}
+
+double CliParser::get_finite_double(const std::string& name,
+                                    double min) const {
+  const double value = get_double(name);
+  if (!std::isfinite(value) || value < min) {
+    raise("option --", name, " must be a finite number >= ", min, ", got ",
+          get(name));
+  }
+  return value;
 }
 
 bool CliParser::get_flag(const std::string& name) const {

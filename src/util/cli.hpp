@@ -5,6 +5,7 @@
 // error (catches typos in experiment sweeps).
 #pragma once
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -29,6 +30,13 @@ class CliParser {
   long get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
+
+  // Range-checked getters: throw util::Error naming the option when the
+  // value lies outside [min, max] — checked before any narrowing cast, so
+  // an out-of-range long never wraps — or, for doubles, is not finite.
+  int get_int_in(const std::string& name, int min,
+                 int max = std::numeric_limits<int>::max()) const;
+  double get_finite_double(const std::string& name, double min) const;
 
   // Positional arguments left after option parsing.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -198,6 +198,135 @@ TEST_P(BackendContract, DeterministicAcrossIdenticalRuns) {
   EXPECT_DOUBLE_EQ(fingerprint(GetParam()), fingerprint(GetParam()));
 }
 
+TEST_P(BackendContract, SubmitCountsInflightBeforeAnyEventRuns) {
+  // Submission is a direct call: the task is accepted (and counted) before
+  // submit() returns, and nothing has started yet.
+  BackendHarness harness(GetParam());
+  ASSERT_TRUE(harness.bootstrap());
+  int starts = 0;
+  harness.backend->on_task_start([&](const std::string&) { ++starts; });
+  harness.backend->on_task_complete([](const platform::LaunchOutcome&) {});
+  for (int i = 0; i < 10; ++i) harness.backend->submit(request_of(i, 1.0));
+  EXPECT_EQ(harness.backend->inflight(), 10u);
+  EXPECT_EQ(starts, 0);
+  harness.engine.run();
+  EXPECT_EQ(starts, 10);
+  EXPECT_EQ(harness.backend->inflight(), 0u);
+}
+
+TEST_P(BackendContract, HealthyDropsAsSoonAsShutdownReturns) {
+  BackendHarness harness(GetParam());
+  ASSERT_TRUE(harness.bootstrap());
+  int completions = 0;
+  harness.backend->on_task_complete(
+      [&](const platform::LaunchOutcome&) { ++completions; });
+  for (int i = 0; i < 10; ++i) harness.backend->submit(request_of(i, 1000.0));
+  harness.engine.run(harness.engine.now() + 30.0);
+  harness.backend->shutdown();
+  EXPECT_FALSE(harness.backend->healthy());  // before any further event
+  harness.engine.run();
+  EXPECT_EQ(completions, 10);
+}
+
+TEST_P(BackendContract, ShutdownTwiceFinalizesEachTaskOnce) {
+  BackendHarness harness(GetParam());
+  ASSERT_TRUE(harness.bootstrap());
+  std::multiset<std::string> completions;
+  harness.backend->on_task_complete(
+      [&](const platform::LaunchOutcome& outcome) {
+        completions.insert(outcome.id);
+      });
+  const int n = 20;
+  for (int i = 0; i < n; ++i) harness.backend->submit(request_of(i, 1000.0));
+  harness.engine.run(harness.engine.now() + 30.0);
+  harness.backend->shutdown();
+  harness.backend->shutdown();
+  harness.engine.run();
+  EXPECT_EQ(completions.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(completions.count(util::cat("task.", i)), 1u);
+  }
+  EXPECT_EQ(harness.backend->inflight(), 0u);
+}
+
+TEST_P(BackendContract, CompletionNeverPrecedesTheReportedFinish) {
+  // Handlers fire from the backend's own events: the start callback comes
+  // first, and the completion callback fires no earlier than the finish
+  // time it reports (notification latency may only delay it).
+  BackendHarness harness(GetParam());
+  ASSERT_TRUE(harness.bootstrap());
+  std::map<std::string, sim::Time> start_times;
+  int completions = 0;
+  harness.backend->on_task_start([&](const std::string& id) {
+    start_times[id] = harness.engine.now();
+  });
+  harness.backend->on_task_complete(
+      [&](const platform::LaunchOutcome& outcome) {
+        ++completions;
+        EXPECT_LE(outcome.started, outcome.finished) << outcome.id;
+        EXPECT_LE(outcome.finished, harness.engine.now()) << outcome.id;
+        ASSERT_EQ(start_times.count(outcome.id), 1u) << outcome.id;
+        EXPECT_LE(start_times[outcome.id], harness.engine.now()) << outcome.id;
+      });
+  for (int i = 0; i < 50; ++i) harness.backend->submit(request_of(i, 3.0));
+  harness.engine.run();
+  EXPECT_EQ(completions, 50);
+}
+
+TEST_P(BackendContract, QuiescentOnlyWhenNoWorkRemains) {
+  BackendHarness harness(GetParam());
+  ASSERT_TRUE(harness.bootstrap());
+  EXPECT_TRUE(harness.backend->quiescent());
+  harness.backend->on_task_complete([](const platform::LaunchOutcome&) {});
+  for (int i = 0; i < 300; ++i) harness.backend->submit(request_of(i, 10.0, 2));
+  EXPECT_FALSE(harness.backend->quiescent());
+  harness.engine.run(harness.engine.now() + 5.0);
+  EXPECT_FALSE(harness.backend->quiescent());
+  harness.engine.run();
+  EXPECT_TRUE(harness.backend->quiescent());
+}
+
+TEST_P(BackendContract, CompletionHandlerMayResubmit) {
+  // The agent submits follow-up work from inside completion callbacks; a
+  // chain of tasks, each submitted by its predecessor's completion, runs
+  // to the end in order.
+  BackendHarness harness(GetParam());
+  ASSERT_TRUE(harness.bootstrap());
+  const int n = 20;
+  std::vector<std::string> order;
+  harness.backend->on_task_complete(
+      [&](const platform::LaunchOutcome& outcome) {
+        EXPECT_TRUE(outcome.success);
+        order.push_back(outcome.id);
+        if (static_cast<int>(order.size()) < n) {
+          harness.backend->submit(
+              request_of(static_cast<int>(order.size()), 1.0));
+        }
+      });
+  harness.backend->submit(request_of(0, 1.0));
+  harness.engine.run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) EXPECT_EQ(order[i], util::cat("task.", i));
+  EXPECT_EQ(harness.backend->inflight(), 0u);
+}
+
+TEST_P(BackendContract, RestoreSummaryReportsShutdown) {
+  BackendHarness harness(GetParam());
+  ASSERT_TRUE(harness.bootstrap());
+  harness.backend->on_task_complete([](const platform::LaunchOutcome&) {});
+  for (int i = 0; i < 5; ++i) harness.backend->submit(request_of(i, 1000.0));
+  EXPECT_NE(harness.backend->restore_summary().find("|inflight=5"),
+            std::string::npos)
+      << harness.backend->restore_summary();
+  harness.engine.run(harness.engine.now() + 30.0);
+  harness.backend->shutdown();
+  harness.engine.run();
+  const auto summary = harness.backend->restore_summary();
+  EXPECT_EQ(summary.rfind(harness.backend->name() + "|", 0), 0u) << summary;
+  EXPECT_NE(summary.find("|healthy=0"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("|inflight=0"), std::string::npos) << summary;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendContract,
                          ::testing::Values("srun", "flux", "dragon"),
                          [](const auto& param_info) { return param_info.param; });
@@ -406,6 +535,82 @@ TEST_P(LifecycleContract, DoubleCancelIsIdempotent) {
   EXPECT_EQ(completions, 1);
   // Cancelling a task that already reached its terminal state is refused.
   EXPECT_FALSE(harness.tmgr->cancel(uid));
+}
+
+TEST_P(LifecycleContract, SuccessfulTasksEachReachDoneOnce) {
+  StackHarness harness(GetParam());
+  std::multiset<std::string> completions;
+  harness.tmgr->on_complete(
+      [&](const core::Task& task) { completions.insert(task.uid()); });
+  std::vector<std::string> uids;
+  for (int i = 0; i < 10; ++i) {
+    core::TaskDescription td;
+    td.duration = 2.0;
+    uids.push_back(harness.tmgr->submit(std::move(td)));
+  }
+  harness.session.run();
+  EXPECT_TRUE(harness.tmgr->idle());
+  ASSERT_EQ(completions.size(), uids.size());
+  for (const auto& uid : uids) {
+    EXPECT_EQ(completions.count(uid), 1u) << uid;
+    const auto& task = harness.tmgr->task(uid);
+    EXPECT_EQ(task.state(), core::TaskState::kDone) << uid;
+    EXPECT_EQ(task.attempts(), 1) << uid;
+    EXPECT_EQ(task.backend(), GetParam()) << uid;
+  }
+}
+
+TEST_P(LifecycleContract, StateTimesFollowTheLifecycleOrder) {
+  // Every state a finished task entered carries its entry time, and those
+  // times never decrease along the lifecycle; RUNNING lasts at least the
+  // payload's duration.
+  StackHarness harness(GetParam());
+  core::TaskDescription td;
+  td.duration = 25.0;
+  const auto uid = harness.tmgr->submit(std::move(td));
+  harness.session.run();
+  const auto& task = harness.tmgr->task(uid);
+  ASSERT_EQ(task.state(), core::TaskState::kDone);
+  const core::TaskState path[] = {
+      core::TaskState::kTmgrScheduling, core::TaskState::kAgentScheduling,
+      core::TaskState::kExecutorPending, core::TaskState::kRunning,
+      core::TaskState::kDone};
+  sim::Time previous = 0.0;
+  for (const auto state : path) {
+    sim::Time entered = 0.0;
+    ASSERT_TRUE(task.state_time(state, entered)) << core::to_string(state);
+    EXPECT_GE(entered, previous) << core::to_string(state);
+    previous = entered;
+  }
+  sim::Time running = 0.0, done = 0.0;
+  ASSERT_TRUE(task.state_time(core::TaskState::kRunning, running));
+  ASSERT_TRUE(task.state_time(core::TaskState::kDone, done));
+  EXPECT_GE(done - running, 25.0);
+}
+
+TEST_P(LifecycleContract, CancelRunningTaskEndsCanceledAndFreesResources) {
+  // Backends cannot preempt: a running task cancels when its payload ends,
+  // and every core it held is returned.
+  StackHarness harness(GetParam());
+  int completions = 0;
+  harness.tmgr->on_complete([&](const core::Task&) { ++completions; });
+  core::TaskDescription td;
+  td.duration = 100.0;
+  td.demand.cores = 8;
+  const auto uid = harness.tmgr->submit(std::move(td));
+  while (harness.tmgr->task(uid).state() != core::TaskState::kRunning) {
+    ASSERT_TRUE(harness.session.engine().step()) << "task never started";
+  }
+  EXPECT_TRUE(harness.tmgr->cancel(uid));
+  harness.session.run();
+  EXPECT_EQ(completions, 1);
+  const auto& task = harness.tmgr->task(uid);
+  EXPECT_EQ(task.state(), core::TaskState::kCanceled);
+  sim::Time running = 0.0, canceled = 0.0;
+  ASSERT_TRUE(task.state_time(core::TaskState::kRunning, running));
+  ASSERT_TRUE(task.state_time(core::TaskState::kCanceled, canceled));
+  EXPECT_GE(canceled - running, 100.0);
+  EXPECT_EQ(harness.session.cluster().free_cores({0, 4}), 4 * 56);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, LifecycleContract,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -73,6 +74,70 @@ TEST(CliParser, TypeErrorsThrow) {
   EXPECT_THROW(cli.get_int("nodes"), Error);
   EXPECT_THROW(cli.get("undeclared"), Error);
   EXPECT_THROW(cli.get_flag("nodes"), Error);  // not a flag
+}
+
+// The message of the util::Error `fn` throws, or "" when it returns.
+template <typename Fn>
+std::string error_of(Fn fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CliParser, EmptyNumericValueIsRejected) {
+  auto cli = make_parser();
+  ASSERT_TRUE(parse(cli, {"--nodes=", "--rate="}));
+  EXPECT_THROW(cli.get_int("nodes"), Error);
+  EXPECT_THROW(cli.get_double("rate"), Error);
+}
+
+TEST(CliParser, IntInRangeAcceptsItsBounds) {
+  auto cli = make_parser();
+  ASSERT_TRUE(parse(cli, {"--nodes", "1"}));
+  EXPECT_EQ(cli.get_int_in("nodes", 1), 1);
+  auto top = make_parser();
+  ASSERT_TRUE(parse(top, {"--nodes", "2147483647"}));
+  EXPECT_EQ(top.get_int_in("nodes", 0), 2147483647);
+  EXPECT_EQ(make_parser().get_int_in("nodes", 0, 16), 16);  // the fallback
+}
+
+TEST(CliParser, IntInRangeRejectsBelowMinNamingTheOption) {
+  auto cli = make_parser();
+  ASSERT_TRUE(parse(cli, {"--nodes", "-5"}));
+  EXPECT_EQ(error_of([&] { cli.get_int_in("nodes", 0); }),
+            "option --nodes must be an integer in [0, 2147483647], got -5");
+  EXPECT_EQ(cli.get_int_in("nodes", -5), -5);  // the bound itself is legal
+}
+
+TEST(CliParser, IntInRangeRejectsValuesBeyondIntBeforeNarrowing) {
+  // 5000000000 would wrap to 705032704 through a bare static_cast<int>.
+  for (const char* value : {"5000000000", "99999999999999999999999"}) {
+    auto cli = make_parser();
+    ASSERT_TRUE(parse(cli, {"--nodes", value}));
+    const auto message = error_of([&] { cli.get_int_in("nodes", 1); });
+    EXPECT_NE(message.find("option --nodes "), std::string::npos) << message;
+    EXPECT_NE(message.find(value), std::string::npos) << message;
+  }
+  auto cli = make_parser();
+  ASSERT_TRUE(parse(cli, {"--nodes", "17"}));
+  EXPECT_NE(error_of([&] { cli.get_int_in("nodes", 1, 16); }), "");
+}
+
+TEST(CliParser, FiniteDoubleRejectsNanInfAndBelowMin) {
+  for (const char* value : {"nan", "inf", "-inf", "-0.5"}) {
+    auto cli = make_parser();
+    ASSERT_TRUE(parse(cli, {"--rate", value}));
+    EXPECT_EQ(error_of([&] { cli.get_finite_double("rate", 0.0); }),
+              std::string("option --rate must be a finite number >= 0, got ") +
+                  value);
+  }
+  auto cli = make_parser();
+  ASSERT_TRUE(parse(cli, {"--rate", "0"}));
+  EXPECT_DOUBLE_EQ(cli.get_finite_double("rate", 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(make_parser().get_finite_double("rate", 0.0), 1.5);
 }
 
 TEST(CliParser, DuplicateDeclarationThrows) {

@@ -277,6 +277,19 @@ TEST(Runner, ReplayOfSerializedSpecIsBitIdentical) {
   EXPECT_EQ(direct.done, replayed.done);
 }
 
+TEST(Runner, DifferentSeedsGiveDifferentFingerprints) {
+  // The fingerprint covers the seeded jitter: same spec, different seed,
+  // different trace — so equal fingerprints elsewhere mean something.
+  sim::RngStream rng(7, "fuzz.generate");
+  auto spec = generate_scenario(rng);
+  const auto first = run_scenario(spec);
+  spec.seed += 1;
+  const auto second = run_scenario(spec);
+  EXPECT_TRUE(first.ok());
+  EXPECT_TRUE(second.ok());
+  EXPECT_NE(first.fingerprint, second.fingerprint) << spec.to_string();
+}
+
 // ------------------------------------------------ crash/recover oracle
 
 TEST(Recovery, TwoHundredSeededCrashScenariosRecoverByteEquivalent) {

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -266,6 +269,77 @@ TEST(Engine, DeterministicAcrossRuns) {
     return times;
   };
   EXPECT_EQ(trace_of(), trace_of());
+}
+
+TEST(Engine, TraceProbeFiresAfterPostEventHookWithCumulativeCount) {
+  Engine engine;
+  std::vector<std::string> calls;
+  std::vector<std::pair<Time, std::uint64_t>> probes;
+  engine.set_post_event_hook([&] { calls.push_back("hook"); });
+  engine.set_trace_probe([&](Time now, std::uint64_t processed) {
+    calls.push_back("probe");
+    probes.emplace_back(now, processed);
+  });
+  engine.at(1.0, [&] { calls.push_back("event"); });
+  const auto cancelled = engine.at(2.0, [&] { calls.push_back("event"); });
+  engine.at(3.0, [&] { calls.push_back("event"); });
+  engine.cancel(cancelled);
+  engine.run();
+  EXPECT_EQ(calls, (std::vector<std::string>{"event", "hook", "probe",
+                                             "event", "hook", "probe"}));
+  EXPECT_EQ(probes, (std::vector<std::pair<Time, std::uint64_t>>{
+                        {1.0, 1u}, {3.0, 2u}}));
+}
+
+TEST(Engine, RunUntilBeyondTheLastEventKeepsNowAtThatEvent) {
+  // Only a pending event past `until` moves the clock to `until`; a queue
+  // that drains first leaves now() at the last processed event.
+  Engine engine;
+  engine.at(2.0, [] {});
+  EXPECT_EQ(engine.run(10.0), 1u);
+  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
+  engine.at(20.0, [] {});
+  EXPECT_EQ(engine.run(10.0), 0u);
+  EXPECT_DOUBLE_EQ(engine.now(), 10.0);
+  EXPECT_EQ(engine.pending(), 1u);
+}
+
+TEST(Engine, StepProcessesExactlyOneEventPerCall) {
+  Engine engine;
+  std::vector<int> order;
+  engine.at(2.0, [&] { order.push_back(2); });
+  engine.at(1.0, [&] {
+    order.push_back(1);
+    engine.stop();  // step() ignores stop requests
+  });
+  ASSERT_TRUE(engine.step());
+  EXPECT_DOUBLE_EQ(engine.now(), 1.0);
+  EXPECT_EQ(engine.pending(), 1u);
+  ASSERT_TRUE(engine.step());
+  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
+  EXPECT_FALSE(engine.step());
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(engine.processed(), 2u);
+}
+
+TEST(Engine, RejectsNanTimes) {
+  Engine engine;
+  const Time nan = std::numeric_limits<Time>::quiet_NaN();
+  EXPECT_THROW(engine.at(nan, [] {}), util::Error);
+  EXPECT_THROW(engine.in(nan, [] {}), util::Error);
+  EXPECT_TRUE(engine.empty());
+}
+
+TEST(Engine, EventIdsIdentifyOneScheduledEvent) {
+  Engine engine;
+  std::vector<int> fired;
+  const auto first = engine.at(1.0, [&] { fired.push_back(0); });
+  const auto second = engine.at(1.0, [&] { fired.push_back(1); });
+  EXPECT_TRUE(first == first);
+  EXPECT_FALSE(first == second);  // same time, distinct events
+  EXPECT_TRUE(engine.cancel(second));
+  engine.run();
+  EXPECT_EQ(fired, (std::vector<int>{0}));
 }
 
 }  // namespace

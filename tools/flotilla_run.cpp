@@ -9,10 +9,8 @@
 //   $ flotilla-run --workload impeccable --backend srun --nodes 256
 //   $ flotilla-run --workload trace --trace-file workload.csv
 //   $ flotilla-run --backend hybrid --clients 1000 --admit defer
-#include <cmath>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 
 #include "analytics/session_report.hpp"
@@ -24,28 +22,11 @@
 #include "obs/report.hpp"
 #include "platform/spec_config.hpp"
 #include "util/cli.hpp"
-#include "util/error.hpp"
 #include "workloads/impeccable.hpp"
 #include "workloads/synthetic.hpp"
 #include "workloads/trace_replay.hpp"
 
 using namespace flotilla;
-
-namespace {
-
-// Reads an integer option, rejecting values below `min` or beyond int
-// before any narrowing cast can wrap them.
-int int_option(const util::CliParser& cli, const std::string& name,
-               int min) {
-  const long value = cli.get_int(name);
-  if (value < min || value > std::numeric_limits<int>::max()) {
-    util::raise("option --", name, " must be an integer in [", min, ", ",
-                std::numeric_limits<int>::max(), "], got ", cli.get(name));
-  }
-  return static_cast<int>(value);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   util::CliParser cli(
@@ -87,16 +68,13 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    const int nodes = int_option(cli, "nodes", 1);
-    int tasks = int_option(cli, "tasks", 0);
-    const int cores = int_option(cli, "cores", 1);
-    const int clients = int_option(cli, "clients", 0);
-    const int trace_capacity = int_option(cli, "trace-capacity", 0);
-    const double duration = cli.get_double("duration");
-    if (!std::isfinite(duration) || duration < 0.0) {
-      util::raise("option --duration must be a finite number >= 0, got ",
-                  cli.get("duration"));
-    }
+    const int nodes = cli.get_int_in("nodes", 1);
+    const int partitions = cli.get_int_in("partitions", 1);
+    int tasks = cli.get_int_in("tasks", 0);
+    const int cores = cli.get_int_in("cores", 1);
+    const int clients = cli.get_int_in("clients", 0);
+    const int trace_capacity = cli.get_int_in("trace-capacity", 0);
+    const double duration = cli.get_finite_double("duration", 0.0);
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     auto spec = platform::spec_by_name(cli.get("platform"));
     auto calibration = platform::frontier_calibration();
@@ -185,7 +163,6 @@ int main(int argc, char** argv) {
     core::PilotDescription pdesc;
     pdesc.nodes = nodes;
     const auto backend = cli.get("backend");
-    const auto partitions = static_cast<int>(cli.get_int("partitions"));
     if (backend == "hybrid") {
       pdesc.backends = {
           {.type = "flux", .partitions = partitions, .nodes = nodes / 2},
